@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BinMapper", "bin_codes"]
+__all__ = ["BinMapper"]
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class BinMapper:
 
     ``edges[f]`` is a strictly increasing 1-D array of candidate split
     thresholds for feature ``f``. A value ``v`` maps to bin
-    ``searchsorted(edges[f], v, side='right')`` — i.e. bin ``b`` holds
+    ``searchsorted(edges[f], v, side='left')`` — i.e. bin ``b`` holds
     values in ``(edges[b-1], edges[b]]`` with open ends — so there are
     ``len(edges[f]) + 1`` bins and a split "``<= edges[f][b]``" separates
     bins ``0..b`` from ``b+1..``.
@@ -41,9 +41,13 @@ class BinMapper:
         return max((len(e) for e in self.edges), default=0) + 1
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        """Map float matrix (n, m) to int32 bin codes (n, m)."""
+        """Map float matrix (n, m) to int32 bin codes (n, m), column-major.
+
+        Column-major order lets the histogram scan read one feature's codes
+        for a subset of rows without touching the other columns.
+        """
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape, dtype=np.int32)
+        out = np.empty(X.shape, dtype=np.int32, order="F")
         for f in range(self.n_features):
             out[:, f] = np.searchsorted(self.edges[f], X[:, f], side="left")
         return out
@@ -82,8 +86,3 @@ def fit_bin_mapper(X: np.ndarray, n_bins: int = 64) -> BinMapper:
     return BinMapper(
         edges=tuple(_feature_edges(X[:, f], n_bins) for f in range(X.shape[1]))
     )
-
-
-def bin_codes(X: np.ndarray, mapper: BinMapper) -> np.ndarray:
-    """Convenience wrapper: ``mapper.transform(X)``."""
-    return mapper.transform(X)

@@ -10,6 +10,13 @@ Split finding runs on the *driver* over already-aggregated histograms; the
 histograms themselves come from a backend callback, so the same growth code
 serves the numpy backend (histograms from local arrays) and the Spark
 backend (histograms reduced from per-partition ``mapInPandas`` partials).
+Below the root the callback is asked only for the child of each split with
+the smaller hessian sum; the driver derives its sibling as parent minus
+child, so a level scans the lighter half of each split's rows.
+
+Rows are routed by :meth:`Tree._route`, which moves every row down one level
+per step with fancy-indexed per-node arrays; prediction, binned prediction
+and frontier-slot assignment all use it.
 """
 from __future__ import annotations
 
@@ -41,40 +48,51 @@ class Tree:
 
     nodes: list[TreeNode] = field(default_factory=list)
 
-    def _traverse(self, get_col, n: int) -> np.ndarray:
-        """Shared float/binned traversal; ``get_col(node) -> (values, thr)``."""
-        out = np.empty(n, dtype=np.float64)
-        idx = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        while active.size:
+    def _route(self, X: np.ndarray, *, binned: bool) -> np.ndarray:
+        """Index of the leaf each row of ``X`` reaches.
+
+        Every row moves down one level per step by fancy-indexing per-node
+        arrays (feature, threshold, left, right). Leaves route to themselves,
+        so all rows take the same number of steps, the depth of the tree.
+        ``binned`` compares bin codes with ``bin_threshold`` instead of
+        values with ``threshold``.
+        """
+        k = len(self.nodes)
+        feature = np.zeros(k, dtype=np.intp)
+        thr = np.zeros(k, dtype=np.int64 if binned else np.float64)
+        left = np.arange(k)
+        right = np.arange(k)
+        depth, level = 0, [0]
+        while level:
             nxt = []
-            for nid in np.unique(idx[active]):
-                node = self.nodes[nid]
-                rows = active[idx[active] == nid]
-                if node.feature < 0:
-                    out[rows] = node.value
+            for i in level:
+                nd = self.nodes[i]
+                if nd.feature < 0:
                     continue
-                vals, thr = get_col(node, rows)
-                go_left = vals <= thr
-                idx[rows[go_left]] = node.left
-                idx[rows[~go_left]] = node.right
-                nxt.append(rows)
-            active = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-        return out
+                feature[i] = nd.feature
+                thr[i] = nd.bin_threshold if binned else nd.threshold
+                left[i], right[i] = nd.left, nd.right
+                nxt += [nd.left, nd.right]
+            depth += bool(nxt)
+            level = nxt
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = np.arange(len(X))
+        for _ in range(depth):
+            go_left = X[rows, feature[node]] <= thr[node]
+            node = np.where(go_left, left[node], right[node])
+        return node
+
+    def _values(self) -> np.ndarray:
+        return np.array([nd.value for nd in self.nodes], dtype=np.float64)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf values for a float matrix (n, m)."""
         X = np.asarray(X, dtype=np.float64)
-        return self._traverse(
-            lambda node, rows: (X[rows, node.feature], node.threshold), len(X)
-        )
+        return self._values()[self._route(X, binned=False)]
 
     def predict_binned(self, codes: np.ndarray) -> np.ndarray:
         """Leaf values for an int bin-code matrix (training-time fast path)."""
-        return self._traverse(
-            lambda node, rows: (codes[rows, node.feature], node.bin_threshold),
-            len(codes),
-        )
+        return self._values()[self._route(codes, binned=True)]
 
     def paths(self) -> list[list[tuple[int, float]]]:
         """All root→leaf-parent paths as [(feature, threshold), ...].
@@ -120,32 +138,15 @@ def assign_slots(
 ) -> np.ndarray:
     """Map each row to its frontier slot (or -1 if it sits in a finished leaf).
 
-    Rows are routed down the partial tree on *bin codes* until they reach a
-    node in ``frontier`` (slot recorded) or a finalised leaf (-1). Used by
-    both histogram backends so workers need only the broadcast partial tree.
+    ``frontier`` maps slot → node index; its nodes are leaves of the partial
+    tree. Rows are routed down the partial tree on *bin codes*; a row whose
+    leaf is not in ``frontier`` gets -1. Used by both histogram backends so
+    workers need only the broadcast partial tree.
     """
-    nid_to_slot = {nid: slot for slot, nid in frontier.items()}
-    n = len(codes)
-    out = np.full(n, -1, dtype=np.int64)
-    idx = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    while active.size:
-        nxt = []
-        for nid in np.unique(idx[active]):
-            rows = active[idx[active] == nid]
-            slot = nid_to_slot.get(nid)
-            if slot is not None:
-                out[rows] = slot
-                continue
-            node = tree.nodes[nid]
-            if node.feature < 0:
-                continue  # finished leaf → inactive
-            go_left = codes[rows, node.feature] <= node.bin_threshold
-            idx[rows[go_left]] = node.left
-            idx[rows[~go_left]] = node.right
-            nxt.append(rows)
-        active = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-    return out
+    slot_of_node = np.full(len(tree.nodes), -1, dtype=np.int64)
+    for slot, nid in frontier.items():
+        slot_of_node[nid] = slot
+    return slot_of_node[tree._route(codes, binned=True)]
 
 
 def build_histograms(
@@ -160,23 +161,24 @@ def build_histograms(
 
     Returns ``(gh, hh)`` each of shape (n_slots, n_features, max_bins).
     This is the only data-size-dependent step of tree growth; the Spark
-    backend computes it per partition and sums the partials.
+    backend computes it per partition and sums the partials. Each feature
+    column is read at the active rows only, which is a strided copy unless
+    ``codes`` is column-major (as :meth:`BinMapper.transform` returns it).
     """
     _n, m = codes.shape
-    gh = np.zeros((n_slots, m, max_bins), dtype=np.float64)
-    hh = np.zeros((n_slots, m, max_bins), dtype=np.float64)
-    active = slot_of_row >= 0
-    slots_a = slot_of_row[active]
-    grad_a = grad[active]
-    hess_a = hess[active]
-    codes_a = codes[active]
+    gh = np.empty((n_slots, m, max_bins), dtype=np.float64)
+    hh = np.empty((n_slots, m, max_bins), dtype=np.float64)
+    rows = np.flatnonzero(slot_of_row >= 0)
+    base = slot_of_row[rows] * max_bins
+    grad_a = grad[rows]
+    hess_a = hess[rows]
     size = n_slots * max_bins
     for f in range(m):
-        flat = slots_a * max_bins + codes_a[:, f]
-        gh[:, f, :] += np.bincount(flat, weights=grad_a, minlength=size).reshape(
+        flat = base + codes[:, f].take(rows)
+        gh[:, f, :] = np.bincount(flat, weights=grad_a, minlength=size).reshape(
             n_slots, max_bins
         )
-        hh[:, f, :] += np.bincount(flat, weights=hess_a, minlength=size).reshape(
+        hh[:, f, :] = np.bincount(flat, weights=hess_a, minlength=size).reshape(
             n_slots, max_bins
         )
     return gh, hh
@@ -224,6 +226,12 @@ def _best_split(
     )
 
 
+# Hessians are non-negative, so a derived bin whose hessian sum is at most
+# this fraction of the root's sum in that bin holds no rows of the node: it
+# is the rounding residue of the subtraction and is set to exactly 0.
+_RESIDUE = 1e-12
+
+
 def grow_tree(
     histogram_fn,
     mapper: BinMapper,
@@ -238,9 +246,12 @@ def grow_tree(
 
     ``histogram_fn(tree, frontier) -> (gh, hh)`` returns per-slot histograms
     of shape (max(frontier)+1, m, max_bins); ``frontier`` maps slot → node
-    index in ``tree.nodes``. Child leaf values are derived from the split's
-    own histogram sums (−G/(H+λ)·lr), so each level costs exactly one
-    histogram pass.
+    index in ``tree.nodes``. The first call scans the root. Each later call
+    gets only the child with the smaller hessian sum H of each split made
+    at the level above; the other child's histograms are the parent's minus
+    the scanned child's (histogram subtraction, as in LightGBM). So each
+    level costs one histogram pass over the lighter child of every split.
+    Child leaf values come from the split's own sums (−G/(H+λ)·lr).
     """
 
     def leaf_value(G: float, H: float) -> float:
@@ -248,12 +259,23 @@ def grow_tree(
 
     tree = Tree([TreeNode()])
     frontier = {0: 0}
-    for _depth in range(max_depth):
+    derived: dict[int, tuple[int, int]] = {}  # node -> (parent, scanned sibling)
+    parents: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for depth in range(max_depth):
         gh, hh = histogram_fn(tree, frontier)
-        new_frontier: dict[int, int] = {}
-        for slot, nid in sorted(frontier.items()):
+        if depth == 0:
+            residue = _RESIDUE * hh[0]
+        hists = {nid: (gh[slot], hh[slot]) for slot, nid in frontier.items()}
+        for nid, (parent, sibling) in derived.items():
+            g = parents[parent][0] - hists[sibling][0]
+            h = parents[parent][1] - hists[sibling][1]
+            empty = h <= residue
+            g[empty] = h[empty] = 0.0
+            hists[nid] = g, h
+        frontier, derived, parents = {}, {}, hists
+        for nid, (g, h) in sorted(hists.items()):
             gain, f, b, GL, HL, G, H = _best_split(
-                gh[slot], hh[slot], mapper, reg_lambda, gamma, min_child_weight
+                g, h, mapper, reg_lambda, gamma, min_child_weight
             )
             node = tree.nodes[nid]
             if gain <= 0 or f < 0:
@@ -267,9 +289,11 @@ def grow_tree(
             tree.nodes.append(TreeNode(value=leaf_value(GL, HL)))
             node.right = len(tree.nodes)
             tree.nodes.append(TreeNode(value=leaf_value(G - GL, H - HL)))
-            new_frontier[2 * slot] = node.left
-            new_frontier[2 * slot + 1] = node.right
-        frontier = new_frontier
+            small, big = (
+                (node.left, node.right) if HL <= H - HL else (node.right, node.left)
+            )
+            frontier[len(frontier)] = small
+            derived[big] = (nid, small)
         if not frontier:
             break
     return tree

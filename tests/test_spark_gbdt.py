@@ -81,3 +81,30 @@ def test_distributed_scoring_matches_driver(spark, spark_model, data):
     np.testing.assert_allclose(
         merged["probability"].to_numpy(), driver["probability"].to_numpy(), atol=1e-12
     )
+
+
+def test_fit_releases_its_broadcasts(spark, data, monkeypatch):
+    """Every broadcast a fit creates (bin mapper, forest per tree, partial
+    tree per level) is unpersisted before ``fit`` returns."""
+    from pyspark import Broadcast
+
+    pdf, cols = data
+    train = spark.createDataFrame(pdf.iloc[:1000])
+    sc = spark.sparkContext
+    made, released = [], []
+    broadcast, unpersist = sc.broadcast, Broadcast.unpersist
+
+    def record_broadcast(value):
+        made.append(broadcast(value))
+        return made[-1]
+
+    def record_unpersist(self, blocking=False):
+        released.append(self)
+        unpersist(self, blocking)
+
+    monkeypatch.setattr(sc, "broadcast", record_broadcast)
+    monkeypatch.setattr(Broadcast, "unpersist", record_unpersist)
+    SparkGBDTClassifier(n_estimators=2, max_depth=2).fit(train, cols, "label")
+    # 1 mapper + 2 forests + 2 trees × 2 levels
+    assert len(made) == 7
+    assert sorted(map(id, released)) == sorted(map(id, made))

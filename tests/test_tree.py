@@ -188,3 +188,196 @@ def test_gamma_penalty_blocks_weak_splits():
     hess = np.ones(200)
     tree, _m, _c = _grow(X, grad, hess, max_depth=3, gamma=10.0)
     assert len(tree.nodes) == 1
+
+
+def test_grow_tree_scans_smaller_child_and_derives_sibling(monkeypatch):
+    """Below the root only the smaller-H child of each split is scanned; the
+    sibling's histograms (parent minus child) match a direct scan."""
+    from repro.gbdt import tree as tree_mod
+
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(3000, 4))
+    grad = np.where(X[:, 0] + X[:, 1] * X[:, 2] > 0, -1.0, 1.0) + rng.normal(
+        scale=0.3, size=3000
+    )
+    hess = rng.uniform(0.05, 1.0, size=3000)
+    mapper = fit_bin_mapper(X, 16)
+    codes = mapper.transform(X)
+    frontiers, seen = [], []
+    direct = _local_hist_fn(codes, grad, hess, mapper)
+
+    def hist_fn(tree, frontier):
+        frontiers.append(dict(frontier))
+        return direct(tree, frontier)
+
+    real_best_split = tree_mod._best_split
+
+    def best_split(gh_node, hh_node, *args):
+        seen.append((gh_node.copy(), hh_node.copy()))
+        return real_best_split(gh_node, hh_node, *args)
+
+    monkeypatch.setattr(tree_mod, "_best_split", best_split)
+    depth = 4
+    tree = grow_tree(hist_fn, mapper, max_depth=depth, min_child_weight=5.0)
+
+    def rows_of(nid):
+        return _reference_walk(tree, codes, binned=True, stop=nid) == nid
+
+    levels = [[0]]
+    for _ in range(depth - 1):
+        levels.append([c for p in levels[-1] if tree.nodes[p].feature >= 0
+                       for c in (tree.nodes[p].left, tree.nodes[p].right)])
+    assert len(frontiers) == sum(1 for lv in levels if lv)
+    for d in range(1, len(frontiers)):
+        expect = []
+        for p in levels[d - 1]:
+            node = tree.nodes[p]
+            if node.feature < 0:
+                continue
+            hl = hess[rows_of(node.left)].sum()
+            hr = hess[rows_of(node.right)].sum()
+            expect.append(node.left if hl <= hr else node.right)
+        assert sorted(frontiers[d].values()) == sorted(expect)
+        assert sorted(frontiers[d]) == list(range(len(expect)))
+
+    # _best_split sees the nodes of depth < max_depth in node order
+    evaluated = [nid for lv in levels for nid in lv]
+    assert len(seen) == len(evaluated)
+    n_empty = 0
+    for nid, (g, h) in zip(evaluated, seen):
+        mask = rows_of(nid)
+        eg, eh = build_histograms(
+            codes, grad, hess, np.where(mask, 0, -1), 1, mapper.max_bins
+        )
+        np.testing.assert_allclose(g, eg[0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(h, eh[0], rtol=0, atol=1e-9)
+        counts = np.stack([
+            np.bincount(codes[mask, f], minlength=mapper.max_bins)
+            for f in range(X.shape[1])
+        ])
+        empty = counts == 0
+        n_empty += empty.sum()
+        assert np.all(g[empty] == 0.0) and np.all(h[empty] == 0.0)
+    assert n_empty > 0
+    assert any(len(lv) > 0 for lv in levels[2:])  # siblings of derived parents
+
+
+def _reference_walk(tree, X, *, binned, stop=None):
+    """Per-row loop: the node each row ends at (a leaf, or ``stop``)."""
+    out = np.empty(len(X), dtype=np.int64)
+    for i, x in enumerate(X):
+        nid = 0
+        while tree.nodes[nid].feature >= 0 and nid != stop:
+            node = tree.nodes[nid]
+            thr = node.bin_threshold if binned else node.threshold
+            nid = node.left if x[node.feature] <= thr else node.right
+        out[i] = nid
+    return out
+
+
+def _mixed_depth_tree():
+    """Leaves at depths 1, 2 and 3."""
+    return Tree(
+        nodes=[
+            TreeNode(feature=0, threshold=0.0, bin_threshold=3, left=1, right=2),
+            TreeNode(value=-1.0),
+            TreeNode(feature=1, threshold=0.5, bin_threshold=5, left=3, right=4),
+            TreeNode(value=0.25),
+            TreeNode(feature=2, threshold=-0.5, bin_threshold=2, left=5, right=6),
+            TreeNode(value=0.5),
+            TreeNode(value=2.0),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        _mixed_depth_tree(),
+        Tree(
+            nodes=[
+                TreeNode(feature=1, threshold=0.1, bin_threshold=4, left=1, right=2),
+                TreeNode(value=-0.3),
+                TreeNode(value=0.7),
+            ]
+        ),
+        Tree(nodes=[TreeNode(value=0.4)]),
+    ],
+    ids=["mixed-depth", "stump", "root-only"],
+)
+def test_routing_matches_reference_walk(tree):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(400, 3))
+    X[::37, 1] = np.nan  # NaN goes right, as in the reference walk
+    codes = np.asfortranarray(rng.integers(0, 8, size=(400, 3)).astype(np.int32))
+    values = np.array([n.value for n in tree.nodes])
+    np.testing.assert_array_equal(
+        tree.predict(X), values[_reference_walk(tree, X, binned=False)]
+    )
+    leaf = _reference_walk(tree, codes, binned=True)
+    np.testing.assert_array_equal(tree.predict_binned(codes), values[leaf])
+    leaves = [i for i, n in enumerate(tree.nodes) if n.feature < 0]
+    frontier = dict(enumerate(leaves[::2]))  # leave some leaves finished
+    slot_of = {nid: slot for slot, nid in frontier.items()}
+    np.testing.assert_array_equal(
+        assign_slots(tree, frontier, codes),
+        [slot_of.get(nid, -1) for nid in leaf],
+    )
+
+
+def test_bin_mapper_transform_is_column_major_searchsorted():
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(500, 4))
+    X[:, 3] = np.round(X[:, 3])  # few distinct values
+    mapper = fit_bin_mapper(X, 16)
+    codes = mapper.transform(X)
+    assert codes.dtype == np.int32
+    assert codes.flags["F_CONTIGUOUS"]
+    for f in range(4):
+        np.testing.assert_array_equal(
+            codes[:, f], np.searchsorted(mapper.edges[f], X[:, f], side="left")
+        )
+
+
+# (feature:bin_threshold) per node, "." for a leaf, of the fit in
+# test_boosted_splits_unchanged, recorded before histogram subtraction
+# and array routing replaced the direct per-level scans.
+GOLDEN_SPLITS = [
+    "1:22 0:31 0:28 2:43 2:43 2:42 2:43 . . . . . . . .",
+    "4:56 5:29 5:44 0:0 4:1 5:39 3:40 . . . . . . . .",
+    "5:8 5:4 1:22 4:21 4:28 0:31 0:28 . . . . . . . .",
+    "2:55 4:15 4:21 2:34 4:16 2:57 2:57 . . . . . . . .",
+    "0:0 1:46 5:8 3:3 2:27 2:38 4:59 . . . . . . . .",
+    "0:11 1:29 1:22 2:43 2:42 2:44 2:50 . . . . . . . .",
+    "4:40 4:15 4:54 5:53 4:16 3:36 5:46 . . . . . . . .",
+    "5:29 3:62 5:37 4:62 4:0 4:25 5:39 . . . . . . . .",
+    "3:4 4:33 4:46 5:34 2:43 3:51 3:18 . . . . . . . .",
+    "0:11 1:29 1:22 2:43 2:42 0:31 0:31 . . . . . . . .",
+    "5:29 0:58 4:54 5:27 5:7 2:5 5:43 . . . . . . . .",
+    "3:0 1:8 0:0 4:49 4:17 1:46 4:40 . . . . . . . .",
+    "2:59 5:51 0:60 0:58 3:48 0:49 . . . . . . .",
+    "0:47 1:30 1:30 2:43 0:31 2:43 2:43 . . . . . . . .",
+    "0:11 1:34 1:37 2:43 2:42 0:30 0:31 . . . . . . . .",
+    "2:42 4:1 4:1 5:27 2:32 1:3 0:13 . . . . . . . .",
+    "0:39 1:30 1:31 2:43 2:42 2:43 2:43 . . . . . . . .",
+    "3:15 3:9 4:15 0:16 4:3 1:3 4:16 . . . . . . . .",
+    "5:1 1:24 5:8 4:23 0:46 4:49 5:11 . . . . . . . .",
+    "5:51 0:12 0:48 1:29 0:55 0:34 1:44 . . . . . . . .",
+]
+
+
+def test_boosted_splits_unchanged():
+    from repro.gbdt.boosting import GBDTClassifier
+
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(2000, 6))
+    y = ((X[:, 0] * X[:, 1] > 0) ^ (X[:, 2] > 0.5)).astype(float)
+    flip = rng.random(2000) < 0.1
+    y[flip] = 1 - y[flip]
+    model = GBDTClassifier(n_estimators=20, max_depth=3).fit(X, y)
+    got = [
+        " ".join("." if n.feature < 0 else f"{n.feature}:{n.bin_threshold}"
+                 for n in t.nodes)
+        for t in model.trees_
+    ]
+    assert got == GOLDEN_SPLITS
