@@ -54,6 +54,12 @@ class RandomGenPipeline:
         if self.mode not in ("rand", "imp"):
             raise ValueError(f"mode must be 'rand' or 'imp', got {self.mode!r}")
         eng = SafePipeline._make_engine(train, label_col, valid, engine)
+        try:
+            return self._fit(eng, label_col)
+        finally:
+            eng.close()
+
+    def _fit(self, eng, label_col: str) -> FeaturePlan:
         base = eng.feature_columns
         m = len(base)
         gamma = self.gamma or 2 * m

@@ -4,15 +4,15 @@ from .correlation import (
     DEFAULT_THETA,
     PEARSON_BANDS,
     pearson_matrix,
-    pearson_matrix_spark,
     remove_redundant,
 )
 from .engine import LocalEngine, SparkEngine
 from .gain_ratio import gain_ratios, gain_ratios_spark, top_combos
-from .iv import DEFAULT_ALPHA, DEFAULT_BETA, IV_BANDS, iv_scores, iv_scores_spark
+from .iv import DEFAULT_ALPHA, DEFAULT_BETA, IV_BANDS, iv_scores
 from .operators import BINARY_OPERATORS, DEFAULT_BINARY_OPS, UNARY_OPERATORS, pair_specs
 from .pipeline import SafePipeline
 from .plan import FeaturePlan, FeatureSpec
+from .scan import ColumnStats, scan_spark
 from .selection import select_features
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "PEARSON_BANDS",
     "DEFAULT_THETA",
     "pearson_matrix",
-    "pearson_matrix_spark",
     "remove_redundant",
     "LocalEngine",
     "SparkEngine",
@@ -32,7 +31,6 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
     "iv_scores",
-    "iv_scores_spark",
     "BINARY_OPERATORS",
     "UNARY_OPERATORS",
     "DEFAULT_BINARY_OPS",
@@ -41,4 +39,6 @@ __all__ = [
     "FeaturePlan",
     "FeatureSpec",
     "select_features",
+    "ColumnStats",
+    "scan_spark",
 ]

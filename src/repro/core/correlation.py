@@ -5,20 +5,21 @@ and never touches uncorrelated features; the evident intent (and what we
 implement) is: order candidates by IV descending and greedily keep a
 feature iff |Pearson| ≤ θ against every feature already kept — i.e. the
 lower-IV member of each correlated pair is dropped (DESIGN.md §2).
+
+:func:`pearson_matrix` is the numpy path. The Spark engine slices its
+matrix from the centred co-moments that the fused IV+Pearson scan of
+:mod:`repro.core.scan` has already merged, so the Pearson step costs no
+Spark job of its own when it follows the IV step.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.ml.feature import VectorAssembler
-from pyspark.ml.stat import Correlation
-from pyspark.sql import DataFrame
 
 __all__ = [
     "PEARSON_BANDS",
     "DEFAULT_THETA",
     "pearson_matrix",
-    "pearson_matrix_spark",
     "remove_redundant",
 ]
 
@@ -56,17 +57,6 @@ def pearson_matrix(X: pd.DataFrame | np.ndarray) -> np.ndarray:
         out[np.ix_(idx, idx)] = sub
     np.fill_diagonal(out, 1.0)
     return np.nan_to_num(out, nan=0.0)
-
-
-def pearson_matrix_spark(df: DataFrame, feature_cols: list[str]) -> np.ndarray:
-    """Distributed Pearson matrix via ``pyspark.ml.stat.Correlation``."""
-    vec = VectorAssembler(
-        inputCols=feature_cols, outputCol="_features", handleInvalid="keep"
-    ).transform(df.select(feature_cols))
-    mat = Correlation.corr(vec, "_features", "pearson").head()[0].toArray()
-    mat = np.nan_to_num(mat, nan=0.0)  # zero-variance cols yield NaN rows
-    np.fill_diagonal(mat, 1.0)
-    return mat
 
 
 def remove_redundant(

@@ -8,8 +8,8 @@ C4.5's gain ratio, which is what "information gain ratio" denotes.
 Local path: vectorised numpy digitise + bincount per combination.
 Distributed path: one ``mapInPandas`` pass computes per-partition
 (cell, label) contingency partials for *all* combinations at once; the
-driver sums partials and finishes the entropy arithmetic, so the cost is a
-single scan regardless of the number of combinations.
+driver sums the collected partials and finishes the entropy arithmetic, so
+the cost is one Spark job regardless of the number of combinations.
 """
 from __future__ import annotations
 
@@ -89,9 +89,9 @@ def gain_ratios_spark(
     """Gain ratio per combination in one distributed scan.
 
     Each partition emits a flattened (combo, cell, pos, neg) partial
-    contingency; partials are summed on the driver. Cells are tiny
-    (bounded by ``max_cells`` at mining time) so the collected partials
-    are O(#partitions · Σ cells).
+    contingency; the driver collects and sums the partials (no shuffle).
+    Cells are tiny (bounded by ``max_cells`` at mining time) so the
+    collected partials are O(#partitions · Σ cells).
     """
     cols = list(feature_cols) + [label_col]
     n_cells = [c.n_cells() for c in combos]
@@ -108,17 +108,19 @@ def gain_ratios_spark(
                     rows.append((ci, int(cell), int(pos[cell]), int(neg[cell])))
             yield pd.DataFrame(rows, columns=["combo", "cell", "pos", "neg"])
 
-    partials = df.select(*cols).mapInPandas(
-        partial, schema="combo long, cell long, pos long, neg long"
+    partials = (
+        df.select(*cols)
+        .mapInPandas(partial, schema="combo long, cell long, pos long, neg long")
+        .toPandas()
     )
-    agg = partials.groupBy("combo", "cell").sum("pos", "neg").toPandas()
     out = []
     for ci in range(len(combos)):
-        sub = agg[agg["combo"] == ci]
+        sub = partials[partials["combo"] == ci]
+        cell = sub["cell"].to_numpy(dtype=np.int64)
         pos = np.zeros(n_cells[ci], dtype=np.int64)
         neg = np.zeros(n_cells[ci], dtype=np.int64)
-        pos[sub["cell"].to_numpy()] = sub["sum(pos)"].to_numpy()
-        neg[sub["cell"].to_numpy()] = sub["sum(neg)"].to_numpy()
+        np.add.at(pos, cell, sub["pos"].to_numpy(dtype=np.int64))
+        np.add.at(neg, cell, sub["neg"].to_numpy(dtype=np.int64))
         out.append(gain_ratio_from_counts(pos, neg))
     return out
 

@@ -11,18 +11,17 @@ and sign-asymmetric, so we implement the canonical WOE-weighted form above
 (documented substitution, DESIGN.md §2). Empty-class bins are Laplace
 smoothed with 0.5 so WOE stays finite.
 
-Both a vectorised numpy path and a two-job Spark path (approxQuantile for
-edges, one stacked groupBy for bin counts) are provided; they agree up to
-binning-quantile approximation.
+This module holds the numpy path (exact ``np.quantile`` edges). The Spark
+engine takes its edges from ``approxQuantile`` and its per-bin counts from
+the fused IV+Pearson scan of :mod:`repro.core.scan`, then finishes with the
+same :func:`iv_from_counts`; the two agree up to the quantile approximation.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-__all__ = ["IV_BANDS", "iv_from_counts", "iv_scores", "iv_scores_spark", "equal_freq_bin"]
+__all__ = ["IV_BANDS", "iv_from_counts", "iv_scores", "equal_freq_bin"]
 
 #: Table I of the paper: predictive-power rule of thumb.
 IV_BANDS: tuple[tuple[float, float, str], ...] = (
@@ -86,58 +85,4 @@ def iv_scores(
         pos = np.bincount(codes[y], minlength=n_bins)
         neg = np.bincount(codes[~y], minlength=n_bins)
         out[c] = iv_from_counts(pos, neg)
-    return out
-
-
-def iv_scores_spark(
-    df: DataFrame,
-    feature_cols: list[str],
-    label_col: str,
-    beta: int = DEFAULT_BETA,
-    rel_error: float = 0.001,
-) -> dict[str, float]:
-    """IV per feature, computed distributed.
-
-    Two Spark jobs regardless of the number of features: one
-    ``approxQuantile`` call for all bin edges, then one aggregation over a
-    ``stack``-ed (feature, bin, label) long format for the per-bin
-    positive/negative counts. IV itself is assembled on the driver from the
-    (n_features × beta)-row count table.
-    """
-    probs = list(np.linspace(0, 1, beta + 1)[1:-1])
-    edges = dict(zip(feature_cols, df.stat.approxQuantile(feature_cols, probs, rel_error)))
-
-    def bin_expr(c: str):
-        es = sorted(set(edges[c]))
-        expr = F.lit(len(es))
-        # searchsorted(edges, x, 'left'): first bin whose edge >= x wins
-        for i in reversed(range(len(es))):
-            expr = F.when(F.col(c) <= F.lit(float(es[i])), F.lit(i)).otherwise(expr)
-        # a value strictly below every edge must land in bin 0; `<=` above
-        # already handles it. Values equal to an edge go left, matching
-        # numpy searchsorted side='left' on midpoint-free quantile edges.
-        return expr
-
-    stacked = df.select(
-        F.col(label_col).cast("int").alias("_y"),
-        *[bin_expr(c).alias(f"_b_{i}") for i, c in enumerate(feature_cols)],
-    )
-    stack_args: list = []
-    for i, c in enumerate(feature_cols):
-        stack_args += [F.lit(c), F.col(f"_b_{i}")]
-    long = stacked.select(
-        "_y", F.stack(F.lit(len(feature_cols)), *stack_args).alias("_feat", "_bin")
-    )
-    counts = (
-        long.groupBy("_feat", "_bin")
-        .agg(
-            F.sum("_y").alias("pos"),
-            F.sum(1 - F.col("_y")).alias("neg"),
-        )
-        .toPandas()
-    )
-    out: dict[str, float] = {}
-    for c in feature_cols:
-        sub = counts[counts["_feat"] == c]
-        out[c] = iv_from_counts(sub["pos"].to_numpy(), sub["neg"].to_numpy())
     return out

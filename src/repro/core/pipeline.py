@@ -88,6 +88,12 @@ class SafePipeline:
         ``engine='local'`` is collected to the driver via Arrow).
         """
         eng = self._make_engine(train, label_col, valid, engine)
+        try:
+            return self._fit(eng, label_col)
+        finally:
+            eng.close()
+
+    def _fit(self, eng, label_col: str) -> FeaturePlan:
         t0 = time.time()
         self.report_ = SafeFitReport()
 

@@ -2,8 +2,15 @@
 
 Architecture (same as distributed XGBoost's histogram algorithm):
 
-1. bin edges via one ``approxQuantile`` call → broadcast ``BinMapper``;
-2. the frame is materialised once as int bin codes + label and cached;
+1. bin edges → a broadcast ``BinMapper``. ``fit`` takes the mapper from
+   its caller (``SparkEngine`` serves the edges from its quantile cache,
+   so a fit inside SAFE makes no ``approxQuantile`` call of its own) or
+   makes one ``approxQuantile`` call;
+2. the binned frame (int bin codes + label) is a lazy ``mapInPandas`` over
+   the input's own partitions, coalesced, never shuffled, to at most
+   ``sparkContext.defaultParallelism`` of them, and cached. No job counts
+   or materialises it: the root histogram pass fills the cache and later
+   passes read it;
 3. each tree level is one ``mapInPandas`` scan: every partition recomputes
    its rows' margins from the broadcast forest-so-far, derives gradients,
    routes rows to frontier slots with the broadcast partial tree, and emits
@@ -13,6 +20,9 @@ Architecture (same as distributed XGBoost's histogram algorithm):
    split logic as the numpy engine. Below the root the frontier holds only
    the smaller-hessian child of each split (the driver derives the
    sibling), so partials carry one slot per split instead of two.
+
+A fit of K trees of depth D therefore runs at most K·D histogram jobs,
+plus the ``approxQuantile`` call when it fetches its own edges.
 
 Margins are recomputed statelessly per scan (no mutable column chain, no
 lineage growth). That is not free: on one 25k×40 partition, re-predicting
@@ -33,20 +43,22 @@ from .binning import BinMapper
 from .boosting import GBDTClassifier, logistic_grad_hess, sigmoid
 from .tree import Tree, assign_slots, build_histograms, grow_tree
 
-__all__ = ["SparkGBDTClassifier"]
+__all__ = ["SparkGBDTClassifier", "mapper_from_quantiles", "quantile_probs"]
+
+#: relative error of every ``approxQuantile`` call behind the Spark engine
+QUANTILE_REL_ERROR = 0.001
 
 
-def _fit_mapper_spark(
-    df: DataFrame, feature_cols: list[str], n_bins: int, rel_error: float = 0.001
-) -> BinMapper:
-    """Quantile bin edges from ``approxQuantile`` (one distributed job)."""
-    probs = list(np.linspace(0, 1, n_bins + 1)[1:-1])
-    qs = df.stat.approxQuantile(feature_cols, probs, rel_error)
-    edges = []
-    for col_qs in qs:
-        e = np.unique(np.asarray(col_qs, dtype=np.float64))
-        edges.append(e)
-    return BinMapper(edges=tuple(edges))
+def quantile_probs(n_bins: int) -> list[float]:
+    """The inner quantiles that cut a column into ``n_bins`` equal-frequency bins."""
+    return list(np.linspace(0, 1, n_bins + 1)[1:-1])
+
+
+def mapper_from_quantiles(quantiles: list[list[float]]) -> BinMapper:
+    """``BinMapper`` whose edges are each column's distinct quantile values."""
+    return BinMapper(
+        edges=tuple(np.unique(np.asarray(q, dtype=np.float64)) for q in quantiles)
+    )
 
 
 @dataclass
@@ -70,10 +82,23 @@ class SparkGBDTClassifier:
     n_features_: int = 0
 
     def fit(
-        self, df: DataFrame, feature_cols: list[str], label_col: str
+        self,
+        df: DataFrame,
+        feature_cols: list[str],
+        label_col: str,
+        mapper: BinMapper | None = None,
     ) -> "SparkGBDTClassifier":
+        """Train on ``df``. ``mapper`` holds precomputed bin edges; without
+        it the edges come from one ``approxQuantile`` call (relative error
+        ``QUANTILE_REL_ERROR``)."""
         self.n_features_ = len(feature_cols)
-        self.mapper_ = _fit_mapper_spark(df, feature_cols, self.n_bins)
+        if mapper is None:
+            mapper = mapper_from_quantiles(
+                df.stat.approxQuantile(
+                    feature_cols, quantile_probs(self.n_bins), QUANTILE_REL_ERROR
+                )
+            )
+        self.mapper_ = mapper
         spark = df.sparkSession
         mapper_bc = spark.sparkContext.broadcast(self.mapper_)
         max_bins = self.mapper_.max_bins
@@ -92,20 +117,12 @@ class SparkGBDTClassifier:
                 yield out
 
         code_cols = ", ".join(f"c{i} int" for i in range(m))
-        binned = df.select(*feature_cols, label_col).mapInPandas(
-            to_codes, schema=f"{code_cols}, _y double"
+        binned = (
+            df.select(*feature_cols, label_col)
+            .mapInPandas(to_codes, schema=f"{code_cols}, _y double")
+            .coalesce(spark.sparkContext.defaultParallelism)
+            .cache()
         )
-        # right-size partitions: histogram passes are scan-bound, so a
-        # handful of fat partitions beats default parallelism on small data
-        n_rows = df.count()
-        n_parts = int(max(2, min(32, np.ceil(n_rows / 25_000))))
-        binned = binned.repartition(n_parts).cache()
-        try:
-            binned.count()  # materialise before iterating
-        finally:
-            # later jobs read the cached codes; an evicted partition that must
-            # be recomputed re-fetches the broadcast from the driver
-            mapper_bc.unpersist(blocking=False)
 
         self.trees_ = []
         try:
@@ -178,6 +195,9 @@ class SparkGBDTClassifier:
                 self.trees_.append(tree)
         finally:
             binned.unpersist()
+            # the mapper lives until the last pass: an evicted partition of
+            # the binned frame is recomputed from it
+            mapper_bc.unpersist(blocking=False)
         return self
 
     # -- prediction / introspection: identical surface to GBDTClassifier ----

@@ -8,9 +8,9 @@ from repro.core.correlation import (
     PEARSON_BANDS,
     correlation_band,
     pearson_matrix,
-    pearson_matrix_spark,
     remove_redundant,
 )
+from repro.core.engine import SparkEngine
 from repro.oracle import assert_equivalent
 
 
@@ -100,10 +100,29 @@ def test_spark_matrix_matches_local(spark):
         }
     )
     pdf["z"] = 0.9 * pdf["x"] + 0.1 * rng.normal(size=1000)
+    pdf["label"] = (pdf["x"] > 0).astype(int)
     cols = ["x", "y", "z"]
     local = pearson_matrix(pdf[cols])
-    dist = pearson_matrix_spark(spark.createDataFrame(pdf), cols)
-    np.testing.assert_allclose(dist, local, atol=1e-8)
+    eng = SparkEngine(spark.createDataFrame(pdf), "label")
+    eng.iv(cols)
+    np.testing.assert_allclose(eng.corr(cols), local, atol=1e-8)
+    # a subset in another order is sliced from the same scan
+    np.testing.assert_allclose(eng.corr(["z", "x"]), pearson_matrix(pdf[["z", "x"]]), atol=1e-8)
+
+
+def test_spark_corr_on_columns_iv_did_not_scan(spark):
+    rng = np.random.default_rng(3)
+    pdf = pd.DataFrame({"a": rng.normal(size=800), "b": rng.normal(size=800)})
+    pdf["c"] = pdf["a"] - 0.5 * pdf["b"]
+    pdf["k"] = 2.5  # constant
+    pdf["label"] = rng.integers(0, 2, 800)
+    eng = SparkEngine(spark.createDataFrame(pdf), "label")
+    eng.iv(["a", "b"])
+    cols = ["c", "a", "k"]
+    np.testing.assert_allclose(eng.corr(cols), pearson_matrix(pdf[cols]), atol=1e-8)
+    # without a preceding iv call
+    fresh = SparkEngine(spark.createDataFrame(pdf), "label")
+    np.testing.assert_allclose(fresh.corr(cols), pearson_matrix(pdf[cols]), atol=1e-8)
 
 
 def test_spark_corr_matches_duckdb(spark):

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.combos import FeatureCombo
 from repro.core.engine import LocalEngine, SparkEngine
+from repro.core.pipeline import SafePipeline
 from repro.core.plan import FeatureSpec
+from repro.gbdt.spark_backend import quantile_probs
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +91,7 @@ def test_spark_engine_parity(spark, pdf):
             rtol=1e-9,
         )
     finally:
-        dist.df.unpersist()
+        dist.close()
 
 
 def test_spark_add_generated(spark, pdf):
@@ -105,4 +107,62 @@ def test_spark_add_generated(spark, pdf):
             out[s2.name], out["a"] * out["b"] + out["c"], rtol=1e-12
         )
     finally:
-        eng.df.unpersist()
+        eng.close()
+
+
+@pytest.fixture
+def count_approx_quantile(spark, monkeypatch):
+    """Records the columns of every ``approxQuantile`` call."""
+    calls: list[list[str]] = []
+    cls = type(spark.range(1))
+    orig = cls.approxQuantile
+
+    def recording(self, col, probabilities, relativeError):
+        calls.append(list(col))
+        return orig(self, col, probabilities, relativeError)
+
+    monkeypatch.setattr(cls, "approxQuantile", recording)
+    return calls
+
+
+def test_spark_quantiles_equal_approx_quantile(spark, pdf, count_approx_quantile):
+    """Cached edges are exactly the values of a direct call, whether they
+    were fetched fresh or served from a fetch on a larger grid."""
+    sdf = spark.createDataFrame(pdf)
+    cols = ["a", "b", "c"]
+    iv_probs, gbdt_probs = quantile_probs(10), quantile_probs(64)
+    direct_iv = sdf.stat.approxQuantile(cols, iv_probs, 0.001)
+    direct_gbdt = sdf.stat.approxQuantile(cols, gbdt_probs, 0.001)
+    count_approx_quantile.clear()
+
+    eng = SparkEngine(sdf, "label")
+    assert eng.quantiles(cols, gbdt_probs) == direct_gbdt  # fresh
+    assert eng.quantiles(cols, iv_probs) == direct_iv  # fresh, on the union grid
+    assert len(count_approx_quantile) == 2
+    assert eng.quantiles(cols, gbdt_probs) == direct_gbdt  # cached
+    assert eng.quantiles(["b"], iv_probs) == [direct_iv[1]]  # cached
+    assert len(count_approx_quantile) == 2
+
+
+def test_spark_ranking_gbdt_fetches_no_quantiles(spark, count_approx_quantile, monkeypatch):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(2000, 3))
+    logit = 2.5 * X[:, 0] * X[:, 1] + 0.8 * X[:, 2]
+    planted = pd.DataFrame(X, columns=["x0", "x1", "x2"])
+    planted["label"] = (rng.random(2000) < 1 / (1 + np.exp(-logit))).astype(int)
+    per_fit: list[int] = []
+    fit_gbdt = SparkEngine.fit_gbdt
+
+    def counting_fit_gbdt(self, cols, **params):
+        before = len(count_approx_quantile)
+        model = fit_gbdt(self, cols, **params)
+        per_fit.append(len(count_approx_quantile) - before)
+        return model
+
+    monkeypatch.setattr(SparkEngine, "fit_gbdt", counting_fit_gbdt)
+    gbdt = {"n_estimators": 2, "max_depth": 2}
+    SafePipeline(mining_gbdt=gbdt, ranking_gbdt=gbdt).fit(
+        spark.createDataFrame(planted), "label", engine="spark"
+    )
+    assert per_fit == [1, 0]  # mining GBDT fetches, ranking GBDT reuses
+    assert len(count_approx_quantile) == 2  # mining GBDT + IV

@@ -11,8 +11,9 @@ from repro.core.iv import (
     iv_band,
     iv_from_counts,
     iv_scores,
-    iv_scores_spark,
 )
+from repro.core.engine import SparkEngine
+from repro.core.scan import scan_spark
 from repro.oracle import assert_equivalent
 
 
@@ -103,7 +104,7 @@ def test_spark_iv_matches_local(spark):
     )
     local = iv_scores(pdf, y, columns=["s", "w", "z"])
     sdf = spark.createDataFrame(pdf)
-    dist = iv_scores_spark(sdf, ["s", "w", "z"], "label")
+    dist = SparkEngine(sdf, "label").iv(["s", "w", "z"])
     for c in ("s", "w", "z"):
         assert dist[c] == pytest.approx(local[c], abs=0.05), c
     # ordering of predictive power is preserved exactly
@@ -111,21 +112,21 @@ def test_spark_iv_matches_local(spark):
 
 
 def test_spark_bin_counts_match_duckdb(spark):
-    """The distributed equal-frequency bucketing vs DuckDB SQL with the
-    same explicit edges — validates the CASE-chain bucket expression."""
+    """The fused scan's per-bin counts on explicit edges vs DuckDB SQL with
+    the same edges: the kernel's ``searchsorted(edges, x, 'left')`` is the
+    ``x <= edge`` CASE chain, including values equal to an edge."""
     rng = np.random.default_rng(5)
     pdf = pd.DataFrame({"x": rng.normal(size=2000), "label": rng.integers(0, 2, 2000)})
     edges = list(np.quantile(pdf["x"], [0.25, 0.5, 0.75]))
-    from pyspark.sql import functions as F
-
-    expr = F.lit(3)
-    for i in reversed(range(3)):
-        expr = F.when(F.col("x") <= F.lit(float(edges[i])), F.lit(i)).otherwise(expr)
+    on_edges = pd.DataFrame({"x": edges * 2, "label": [0, 1, 1, 1, 0, 0]})
+    pdf = pd.concat([pdf, on_edges], ignore_index=True)
     sdf = spark.createDataFrame(pdf)
-    got = (
-        sdf.select(expr.alias("bin"), "label")
-        .groupBy("bin")
-        .agg(F.sum("label").alias("pos"), F.count("*").alias("cnt"))
+    stats = scan_spark(sdf, ["x"], "label", [np.asarray(edges)])
+    nz = stats.count[0] > 0
+    got = spark.createDataFrame(
+        pd.DataFrame(
+            {"bin": np.flatnonzero(nz), "pos": stats.pos[0][nz], "cnt": stats.count[0][nz]}
+        )
     )
     sql = f"""
         SELECT CASE

@@ -88,3 +88,56 @@ def test_rand_imp_on_spark_engine(spark, planted):
             ranking_gbdt={"n_estimators": 4, "max_depth": 3},
         ).fit(sdf, "label", engine="spark")
         assert plan.output_columns, mode
+
+
+ONE_TREE = {"n_estimators": 1, "max_depth": 2}
+
+
+def _persistent_rdds(spark) -> set[int]:
+    return {int(k) for k in spark.sparkContext._jsc.getPersistentRDDs().keys()}
+
+
+def test_fit_job_budget(spark, planted):
+    """A one-tree, depth-2 fit on an uncached input runs 11 Spark jobs: 1
+    to fill the engine's cached view of the input, 2 + 2 for the mining
+    GBDT's ``approxQuantile`` and its two histogram passes, 1 gain-ratio
+    scan, 2 + 1 for the IV edges' ``approxQuantile`` and the fused
+    IV+Pearson scan, and 2 ranking-GBDT histogram passes. One more
+    ``count()`` or shuffle fails the test."""
+    sdf = spark.createDataFrame(planted.iloc[:3500])
+    sc = spark.sparkContext
+    group = "safe-job-budget"
+    sc.setJobGroup(group, group)
+    try:
+        SafePipeline(mining_gbdt=ONE_TREE, ranking_gbdt=ONE_TREE).fit(
+            sdf, "label", engine="spark"
+        )
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    jobs = sc.statusTracker().getJobIdsForGroup(group)
+    assert 0 < len(jobs) <= 11, len(jobs)
+
+
+def test_fit_keeps_a_cached_input_cached(spark, planted):
+    sdf = spark.createDataFrame(planted.iloc[:3500]).cache()
+    try:
+        sdf.count()
+        level, cached = sdf.storageLevel, _persistent_rdds(spark)
+        SafePipeline(mining_gbdt=ONE_TREE, ranking_gbdt=ONE_TREE).fit(
+            sdf, "label", engine="spark"
+        )
+        assert sdf.storageLevel == level
+        assert _persistent_rdds(spark) == cached
+    finally:
+        sdf.unpersist()
+
+
+def test_fit_leaves_nothing_cached(spark, planted):
+    sdf = spark.createDataFrame(planted.iloc[:3500])
+    before = _persistent_rdds(spark)
+    SafePipeline(mining_gbdt=ONE_TREE, ranking_gbdt=ONE_TREE).fit(
+        sdf, "label", engine="spark"
+    )
+    assert not sdf.is_cached
+    assert _persistent_rdds(spark) == before
