@@ -1,14 +1,22 @@
 """Shared plumbing for the table jobs: results dir, markdown rendering,
-and an optional SparkSession (only the business-scale jobs need one)."""
+progress logging, and an optional SparkSession (only the business-scale
+jobs need one)."""
 from __future__ import annotations
 
+import logging
 import os
-import sys
 from pathlib import Path
 
 import pandas as pd
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+log = logging.getLogger("jobs")
+
+
+def configure_logging() -> None:
+    """Progress lines go to stderr as ``[jobs.<table>] ...``; tables go to stdout."""
+    logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")
 
 
 def get_spark():
@@ -49,6 +57,6 @@ def emit(name: str, title: str, frame: pd.DataFrame, notes: str = "") -> None:
     if notes:
         text += f"\n{notes}\n"
     (RESULTS_DIR / f"{name}.md").write_text(text)
-    print(f"\n=== {title} ===", file=sys.stderr)
+    log.info("=== %s ===", title)
     print(frame.to_string(index=False))
-    print(f"[written to results/{name}.md]", file=sys.stderr)
+    log.info("written to results/%s.md", name)

@@ -7,6 +7,7 @@ here 1 for runtime). Values are 100·AUC, as in the paper.
     python jobs/table3_benchmark_auc.py [--repeats N] [--datasets a,b] [--clfs LR,XGB]
 """
 import argparse
+import logging
 import sys
 import time
 from pathlib import Path
@@ -15,12 +16,14 @@ import pandas as pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _common  # noqa: E402
-from _common import emit  # noqa: E402
+from _common import configure_logging, emit  # noqa: E402
 
 from repro.experiments.datasets import BENCHMARK_DATASETS  # noqa: E402
 from repro.experiments.runner import METHODS, run_dataset  # noqa: E402
 
 ALL_CLFS = ("AB", "DT", "ET", "kNN", "LR", "MLP", "RF", "SVM", "XGB")
+
+log = logging.getLogger("jobs.table3")
 
 
 def main(spark=None, repeats=1, datasets=None, clfs=ALL_CLFS):
@@ -33,7 +36,7 @@ def main(spark=None, repeats=1, datasets=None, clfs=ALL_CLFS):
         frames.append(
             run_dataset(spec, METHODS, tuple(clfs), n_repeats=repeats)
         )
-        print(f"[table3] {spec.name}: {time.time() - t0:.1f}s", file=sys.stderr)
+        log.info("%s: %.1fs", spec.name, time.time() - t0)
     long = pd.concat(frames, ignore_index=True)
     table = (
         long.groupby(["dataset", "clf", "method"])["auc"].mean().mul(100).round(2)
@@ -57,6 +60,7 @@ def main(spark=None, repeats=1, datasets=None, clfs=ALL_CLFS):
 
 
 if __name__ == "__main__":
+    configure_logging()
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeats", type=int, default=1)
     ap.add_argument("--datasets", type=str, default=None)

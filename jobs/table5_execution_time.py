@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import emit  # noqa: E402
+from _common import configure_logging, emit  # noqa: E402
 
 from repro.experiments.datasets import BENCHMARK_DATASETS  # noqa: E402
 from repro.experiments.timing import timing_table  # noqa: E402
@@ -30,6 +30,7 @@ def main(spark=None, datasets=None):
 
 
 if __name__ == "__main__":
+    configure_logging()
     ap = argparse.ArgumentParser()
     ap.add_argument("--datasets", type=str, default=None)
     args = ap.parse_args()

@@ -7,6 +7,7 @@ long, so it is difficult to calculate so many times"). `vehicle` is also
 skipped by default to bound runtime (configurable).
 """
 import argparse
+import logging
 import sys
 import time
 from pathlib import Path
@@ -14,13 +15,15 @@ from pathlib import Path
 import pandas as pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import emit  # noqa: E402
+from _common import configure_logging, emit  # noqa: E402
 
 from repro.experiments.datasets import BENCHMARK_DATASETS, make_dataset  # noqa: E402
 from repro.experiments.stability import feature_stability  # noqa: E402
 
 METHODS = ("FCT", "RAND", "IMP", "SAFE")
 DEFAULT_DATASETS = tuple(s.name for s in BENCHMARK_DATASETS if s.name != "vehicle")
+
+log = logging.getLogger("jobs.table6")
 
 
 def main(spark=None, T=20, datasets=DEFAULT_DATASETS):
@@ -34,7 +37,7 @@ def main(spark=None, T=20, datasets=DEFAULT_DATASETS):
         for m in METHODS:
             row[m] = round(feature_stability(m, train, valid=valid, T=T), 4)
         rows.append(row)
-        print(f"[table6] {spec.name}: {time.time() - t0:.1f}s", file=sys.stderr)
+        log.info("%s: %.1fs", spec.name, time.time() - t0)
     table = pd.DataFrame(rows)
     emit(
         "table6",
@@ -47,6 +50,7 @@ def main(spark=None, T=20, datasets=DEFAULT_DATASETS):
 
 
 if __name__ == "__main__":
+    configure_logging()
     ap = argparse.ArgumentParser()
     ap.add_argument("--T", type=int, default=20)
     ap.add_argument("--datasets", type=str, default=None)

@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import emit  # noqa: E402
+from _common import configure_logging, emit  # noqa: E402
 
 from repro.experiments.datasets import BUSINESS_DATASETS, dataset_info_rows  # noqa: E402
 
@@ -22,4 +22,5 @@ def main(spark=None):
 
 
 if __name__ == "__main__":
+    configure_logging()
     main()

@@ -14,6 +14,7 @@ at this scale).
     python jobs/table8_business_auc.py [--scale 1.0] [--datasets Data1]
 """
 import argparse
+import logging
 import sys
 import time
 from dataclasses import replace
@@ -24,7 +25,7 @@ import pandas as pd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _common  # noqa: E402
-from _common import emit, get_spark  # noqa: E402
+from _common import configure_logging, emit, get_spark  # noqa: E402
 
 from repro.baselines import RandomGenPipeline  # noqa: E402
 from repro.core.pipeline import SafePipeline  # noqa: E402
@@ -35,6 +36,8 @@ from repro.models.evaluation import auc_score  # noqa: E402
 
 METHODS = ("ORIG", "RAND", "IMP", "SAFE")
 CLFS = ("LR", "RF", "XGB")
+
+log = logging.getLogger("jobs.table8")
 
 # modest distributed-GBDT budget: Eq. 13 — feature budget ∝ K·D
 GBDT = {"n_estimators": 10, "max_depth": 3}
@@ -102,10 +105,8 @@ def main(spark=None, scale=1.0, datasets=None):
                         "fe_fit_seconds": round(fit_s, 1),
                     }
                 )
-            print(
-                f"[table8] {spec.name} {method}: fe={fit_s:.1f}s "
-                f"(features={len(plan.output_columns)})",
-                file=sys.stderr,
+            log.info(
+                "%s %s: fe=%.1fs (features=%d)", spec.name, method, fit_s, len(plan.output_columns)
             )
     long = pd.DataFrame(rows)
     table = (
@@ -125,6 +126,7 @@ def main(spark=None, scale=1.0, datasets=None):
 
 
 if __name__ == "__main__":
+    configure_logging()
     ap = argparse.ArgumentParser()
     ap.add_argument("--scale", type=float, default=1.0)
     ap.add_argument("--datasets", type=str, default=None)

@@ -11,17 +11,22 @@ and sign-asymmetric, so we implement the canonical WOE-weighted form above
 (documented substitution, DESIGN.md §2). Empty-class bins are Laplace
 smoothed with 0.5 so WOE stays finite.
 
-This module holds the numpy path (exact ``np.quantile`` edges). The Spark
-engine takes its edges from ``approxQuantile`` and its per-bin counts from
-the fused IV+Pearson scan of :mod:`repro.core.scan`, then finishes with the
-same :func:`iv_from_counts`; the two agree up to the quantile approximation.
+This module holds the numpy path (exact ``np.quantile`` edges). It sorts
+each column once, and its positive rows once: the edges are quantiles of
+the sorted values, and each bin's total and positive counts are differences
+of ``searchsorted`` positions of the edges in the two sorted arrays, so no
+row is binned one by one. The counts equal a ``bincount`` of
+:func:`equal_freq_bin`'s codes. The Spark engine takes its edges from
+``approxQuantile`` and its per-bin counts from the fused IV+Pearson scan of
+:mod:`repro.core.scan`, then finishes with the same :func:`iv_from_counts`;
+the two agree up to the quantile approximation.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-__all__ = ["IV_BANDS", "iv_from_counts", "iv_scores", "equal_freq_bin"]
+__all__ = ["IV_BANDS", "iv_from_counts", "iv_scores", "equal_freq_bin", "sorted_bin_counts"]
 
 #: Table I of the paper: predictive-power rule of thumb.
 IV_BANDS: tuple[tuple[float, float, str], ...] = (
@@ -80,9 +85,26 @@ def iv_scores(
     y = np.asarray(y).astype(bool)
     out: dict[str, float] = {}
     for j, c in enumerate(columns):
-        codes = equal_freq_bin(mat[:, j], beta)
-        n_bins = int(codes.max()) + 1 if len(codes) else 1
-        pos = np.bincount(codes[y], minlength=n_bins)
-        neg = np.bincount(codes[~y], minlength=n_bins)
-        out[c] = iv_from_counts(pos, neg)
+        x = mat[:, j]
+        pos, total = sorted_bin_counts(np.sort(x), np.sort(x[y]), beta)
+        out[c] = iv_from_counts(pos, total - pos)
     return out
+
+
+def sorted_bin_counts(
+    xs: np.ndarray, xs_pos: np.ndarray, beta: int = DEFAULT_BETA
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin (positive, total) counts of :func:`equal_freq_bin`'s codes.
+
+    ``xs`` is a column sorted ascending and ``xs_pos`` its positive rows
+    sorted the same way (NaNs last, as ``np.sort`` leaves them). The bins
+    run from 0 to the bin of the largest value, empty ones included, as a
+    ``bincount`` of the codes would. Bin ``b`` ends after the values that
+    ``searchsorted(edges, ·, 'left')`` puts at or below ``b``: those that
+    are not above ``edges[b]``.
+    """
+    edges = np.unique(np.quantile(xs, np.linspace(0, 1, beta + 1)[1:-1]))
+    inner = edges[: np.searchsorted(edges, xs[-1], side="left")]
+    total = np.diff(np.searchsorted(xs, inner, side="right"), prepend=0, append=len(xs))
+    pos = np.diff(np.searchsorted(xs_pos, inner, side="right"), prepend=0, append=len(xs_pos))
+    return pos, total

@@ -1,11 +1,11 @@
 """XGBoost substrate: from-scratch histogram GBDT (numpy + Spark backends)."""
-from .binning import BinMapper, fit_bin_mapper
+from .binning import BinMapper, bin_matrix
 from .boosting import GBDTClassifier, logistic_grad_hess, sigmoid
 from .tree import Tree, TreeNode, assign_slots, build_histograms, grow_tree
 
 __all__ = [
     "BinMapper",
-    "fit_bin_mapper",
+    "bin_matrix",
     "GBDTClassifier",
     "sigmoid",
     "logistic_grad_hess",

@@ -3,8 +3,16 @@
 XGBoost's approximate/hist algorithms pre-bucket every feature into at most
 ``n_bins`` quantile buckets and then find splits over bucket boundaries.
 This module computes the bucket edges (the *candidate split values*) and
-converts a float matrix into small integer bin codes, which is what both
-the local (numpy) and distributed (Spark) GBDT backends consume.
+the small integer bin codes that both the local (numpy) and distributed
+(Spark) GBDT backends consume.
+
+Locally, each column is sorted once: :func:`bin_column` argsorts it, takes
+its edges from the sorted values (unique values from adjacent differences,
+``np.quantile`` of the sorted finite slice) and fills its codes from the
+sorted order, so no row is binary-searched into the edges.
+:func:`bin_matrix` does that for every column of a matrix; its codes equal
+:meth:`BinMapper.transform`'s on the same edges, which is how the Spark
+backend bins partitions against edges from ``approxQuantile``.
 """
 from __future__ import annotations
 
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BinMapper"]
+__all__ = ["BinMapper", "bin_column", "bin_matrix"]
 
 
 @dataclass(frozen=True)
@@ -53,19 +61,22 @@ class BinMapper:
         return out
 
 
-def _feature_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
-    """Quantile candidate thresholds for one feature column.
+def _feature_edges(sorted_col: np.ndarray, n_bins: int) -> np.ndarray:
+    """Quantile candidate thresholds for one feature, from its sorted values.
 
-    Midpoints between consecutive distinct quantiles are used as thresholds
-    so that a threshold never equals a data value exactly (robust to the
-    left/right searchsorted convention). NaNs are routed to the lowest bin
-    by replacing them with -inf upstream; here they are simply ignored for
-    edge estimation.
+    ``sorted_col`` is the column in ascending order, NaNs last (as
+    ``np.sort`` leaves them). Non-finite values are ignored for edge
+    estimation; they fall in the end bins. Midpoints between consecutive
+    distinct quantiles are used as thresholds so that a threshold never
+    equals a data value exactly (robust to the left/right searchsorted
+    convention).
     """
-    col = col[np.isfinite(col)]
+    lo = np.searchsorted(sorted_col, -np.inf, side="right")
+    hi = np.searchsorted(sorted_col, np.inf, side="left")
+    col = sorted_col[lo:hi]
     if col.size == 0:
         return np.empty(0, dtype=np.float64)
-    uniq = np.unique(col)
+    uniq = col[np.concatenate(([True], col[1:] != col[:-1]))]
     if len(uniq) <= 1:
         return np.empty(0, dtype=np.float64)
     if len(uniq) <= n_bins:
@@ -80,9 +91,33 @@ def _feature_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(edges).astype(np.float64)
 
 
-def fit_bin_mapper(X: np.ndarray, n_bins: int = 64) -> BinMapper:
-    """Fit quantile bin edges on a (n, m) float matrix."""
+def bin_column(x: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, int32 codes) of one float column from a single argsort.
+
+    Row ``i`` gets ``searchsorted(edges, x[i], 'left')``: the sorted
+    values are cut where they pass each edge, and each run of the sorted
+    order gets its bin number.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    edges = _feature_edges(xs, n_bins)
+    cuts = np.searchsorted(xs, edges, side="right")
+    run = np.diff(cuts, prepend=0, append=len(xs))
+    codes = np.empty(len(xs), dtype=np.int32)
+    codes[order] = np.repeat(np.arange(len(edges) + 1, dtype=np.int32), run)
+    return edges, codes
+
+
+def bin_matrix(X: np.ndarray, n_bins: int = 64) -> tuple[BinMapper, np.ndarray]:
+    """Fit quantile bin edges on a (n, m) float matrix and bin it.
+
+    Returns the mapper and the column-major int32 codes that
+    ``mapper.transform(X)`` would give.
+    """
     X = np.asarray(X, dtype=np.float64)
-    return BinMapper(
-        edges=tuple(_feature_edges(X[:, f], n_bins) for f in range(X.shape[1]))
-    )
+    codes = np.empty(X.shape, dtype=np.int32, order="F")
+    edges = []
+    for f in range(X.shape[1]):
+        e, codes[:, f] = bin_column(X[:, f], n_bins)
+        edges.append(e)
+    return BinMapper(edges=tuple(edges)), codes

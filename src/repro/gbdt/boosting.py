@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import BinMapper, fit_bin_mapper
+from .binning import BinMapper, bin_matrix
 from .tree import Tree, assign_slots, build_histograms, grow_tree
 
 __all__ = ["GBDTClassifier", "sigmoid", "logistic_grad_hess"]
@@ -64,12 +64,20 @@ class GBDTClassifier:
     n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GBDTClassifier":
-        X = np.asarray(X, dtype=np.float64)
+        mapper, codes = bin_matrix(X, self.n_bins)
+        return self.fit_binned(codes, mapper, y)
+
+    def fit_binned(self, codes: np.ndarray, mapper: BinMapper, y: np.ndarray) -> "GBDTClassifier":
+        """Fit on bin codes already computed with ``mapper``.
+
+        ``codes`` is the column-major int32 matrix :func:`bin_matrix`
+        returns, so a caller that keeps codes per column (the local engine)
+        fits several models without binning a column twice.
+        """
         y = np.asarray(y, dtype=np.float64)
-        self.n_features_ = X.shape[1]
-        self.mapper_ = fit_bin_mapper(X, self.n_bins)
-        codes = self.mapper_.transform(X)
-        max_bins = self.mapper_.max_bins
+        self.n_features_ = codes.shape[1]
+        self.mapper_ = mapper
+        max_bins = mapper.max_bins
         margin = np.full(len(y), self._base_margin(y), dtype=np.float64)
         rng = np.random.default_rng(self.random_state)
         self.trees_ = []

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gbdt.binning import BinMapper, fit_bin_mapper
+from ..gbdt.binning import BinMapper, bin_matrix
 from .trees import _ClassTree
 
 __all__ = ["AdaBoostNP"]
@@ -30,8 +30,7 @@ class AdaBoostNP:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "AdaBoostNP":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        self._mapper = fit_bin_mapper(X, self.n_bins)
-        codes = self._mapper.transform(X)
+        self._mapper, codes = bin_matrix(X, self.n_bins)
         rng = np.random.default_rng(self.random_state)
         n = len(y)
         w = np.full(n, 1.0 / n)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gbdt.binning import BinMapper, fit_bin_mapper
+from ..gbdt.binning import BinMapper, bin_matrix
 
 __all__ = ["DecisionTreeNP", "RandomForestNP", "ExtraTreesNP"]
 
@@ -163,8 +163,7 @@ class DecisionTreeNP:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeNP":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        self._mapper = fit_bin_mapper(X, self.n_bins)
-        codes = self._mapper.transform(X)
+        self._mapper, codes = bin_matrix(X, self.n_bins)
         self._tree = _ClassTree().fit(
             codes,
             y,
@@ -204,8 +203,7 @@ class _Forest:
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        self._mapper = fit_bin_mapper(X, self.n_bins)
-        codes = self._mapper.transform(X)
+        self._mapper, codes = bin_matrix(X, self.n_bins)
         rng = np.random.default_rng(self.random_state)
         n, m = X.shape
         max_features = max(1, int(np.sqrt(m)))

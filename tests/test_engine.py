@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.combos import FeatureCombo
 from repro.core.engine import LocalEngine, SparkEngine
+from repro.gbdt import GBDTClassifier, binning
 from repro.core.pipeline import SafePipeline
 from repro.core.plan import FeatureSpec
 from repro.gbdt.spark_backend import quantile_probs
@@ -52,6 +53,66 @@ def test_local_gbdt_trains_on_subset(pdf):
     model = eng.fit_gbdt(["a", "b"], n_estimators=5, max_depth=2)
     assert model.n_features_ == 2
     assert 0 in model.split_features()  # "a" is the informative one
+
+
+def test_local_cached_bins_fit_the_same_model(pdf):
+    """A fit on codes cached by an earlier fit equals a fit on the matrix."""
+    eng = LocalEngine(pdf, "label")
+    params = {"n_estimators": 4, "max_depth": 3}
+    eng.fit_gbdt(["a", "b"], **params)
+    got = eng.fit_gbdt(["c", "a"], **params)  # "a" comes from the cache
+    want = GBDTClassifier(**params).fit(pdf[["c", "a"]].to_numpy(), pdf["label"].to_numpy())
+    X = pdf[["c", "a"]].to_numpy()
+    assert np.array_equal(got.predict_proba(X), want.predict_proba(X))
+    assert np.array_equal(got.feature_importances(), want.feature_importances())
+    assert all(np.array_equal(g, w) for g, w in zip(got.mapper_.edges, want.mapper_.edges))
+
+
+def test_local_fit_bins_each_column_once(monkeypatch):
+    """In one SAFE fit no (column, n_bins) is binned twice: the ranking
+    GBDT bins only the generated columns and reuses the base columns'
+    codes from the mining GBDT."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(2000, 4))
+    logit = 2.5 * X[:, 0] * X[:, 1] + 0.8 * X[:, 2]
+    planted = pd.DataFrame(X, columns=["x0", "x1", "x2", "x3"])
+    planted["label"] = (rng.random(2000) < 1 / (1 + np.exp(-logit))).astype(int)
+    binned: list[int] = []
+    bin_column = binning.bin_column
+
+    def counting_bin_column(x, n_bins):
+        binned.append(n_bins)
+        return bin_column(x, n_bins)
+
+    per_fit: list[tuple[list[str], int]] = []
+    fit_gbdt = LocalEngine.fit_gbdt
+
+    def recording_fit_gbdt(self, cols, **params):
+        before = len(binned)
+        model = fit_gbdt(self, cols, **params)
+        per_fit.append((list(cols), len(binned) - before))
+        return model
+
+    monkeypatch.setattr(binning, "bin_column", counting_bin_column)
+    monkeypatch.setattr(LocalEngine, "fit_gbdt", recording_fit_gbdt)
+    gbdt = {"n_estimators": 4, "max_depth": 3}
+    SafePipeline(mining_gbdt=gbdt, ranking_gbdt=gbdt).fit(planted, "label", engine="local")
+
+    (mine_cols, mine_binned), (rank_cols, rank_binned) = per_fit
+    assert mine_binned == len(mine_cols) == 4
+    generated = [c for c in rank_cols if c not in mine_cols]
+    assert generated and len(generated) < len(rank_cols)  # both kinds ranked
+    assert rank_binned == len(generated)
+    assert all("__" in c for c in generated)  # generated names
+    assert set(binned) == {GBDTClassifier.n_bins}
+
+
+def test_local_close_drops_cached_bins(pdf):
+    eng = LocalEngine(pdf, "label")
+    eng.fit_gbdt(["a", "b"], n_estimators=2, max_depth=2)
+    assert len(eng._bins) == 2
+    eng.close()
+    assert not eng._bins
 
 
 def test_local_iv_and_corr_consistency(pdf):

@@ -1,84 +1,93 @@
 """Oracle-backed checks of Spark aggregation idioms used by the pipeline,
-run over the provided TPC-H-lite generators so the shuffle path of the
-session (broadcast joins disabled) is exercised at small SF."""
+run over the SAFE dataset generators (``repro.experiments.datasets``) so
+the shuffle path of the session (broadcast joins disabled) is exercised on
+the frames SAFE itself fits."""
 import numpy as np
 import pandas as pd
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.plan import FeaturePlan, FeatureSpec
+from repro.experiments.datasets import BENCHMARK_DATASETS, make_dataset
 from repro.oracle import assert_equivalent
+
+SPECS = {s.name: s for s in BENCHMARK_DATASETS}
+
+
+def _magic():
+    """``magic``'s train and valid frames, each with a join key."""
+    train, valid, _test = make_dataset(SPECS["magic"])
+    train = train.assign(k=np.arange(len(train)) % 97)
+    valid = valid.assign(k=np.arange(len(valid)) % 97)
+    return train, valid
 
 
 def test_groupby_aggregation_matches_duckdb(spark):
-    li = synth_data.lineitem(spark, sf=0.002)
+    train, _valid = _magic()
     got = (
-        li.groupBy("l_returnflag")
+        spark.createDataFrame(train)
+        .groupBy("label")
         .agg(
             F.count("*").alias("cnt"),
-            F.round(F.sum("l_quantity"), 4).alias("qty"),
+            F.round(F.sum("f0"), 4).alias("s0"),
         )
     )
     assert_equivalent(
         got,
-        "SELECT l_returnflag, COUNT(*) AS cnt, ROUND(SUM(l_quantity), 4) AS qty "
-        "FROM lineitem GROUP BY l_returnflag",
-        lineitem=li,
+        "SELECT label, COUNT(*) AS cnt, ROUND(SUM(f0), 4) AS s0 FROM t GROUP BY label",
+        t=train,
     )
 
 
 def test_join_aggregation_matches_duckdb(spark):
-    li = synth_data.lineitem(spark, sf=0.002)
-    o = synth_data.orders(spark, sf=0.002)
+    train, valid = _magic()
+    left = spark.createDataFrame(train).select("k", F.col("label").alias("l_label"))
+    right = spark.createDataFrame(valid).select("k", F.col("label").alias("r_label"))
     got = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
+        left.join(right, "k")
+        .groupBy("l_label", "r_label")
         .agg(F.count("*").alias("cnt"))
     )
     assert_equivalent(
         got,
-        "SELECT o_orderpriority, COUNT(*) AS cnt FROM lineitem "
-        "JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority",
-        lineitem=li,
-        orders=o,
+        "SELECT a.label AS l_label, b.label AS r_label, COUNT(*) AS cnt "
+        "FROM a JOIN b ON a.k = b.k GROUP BY 1, 2",
+        a=train,
+        b=valid,
     )
 
 
 def test_generated_feature_aggregate_matches_duckdb(spark):
     """Ψ applied on Spark, aggregated, vs DuckDB computing the same
     generated feature in SQL — end-to-end check of the serving path."""
-    li = synth_data.lineitem(spark, sf=0.002)
-    plan = FeaturePlan(
-        [FeatureSpec("mul", ("l_extendedprice", "l_discount"))],
-        ["l_extendedprice_l_discount__mul"],
-    )
-    got = plan.apply_spark(li).agg(
-        F.round(F.sum("l_extendedprice_l_discount__mul"), 2).alias("revenue")
+    train, _valid = _magic()
+    plan = FeaturePlan([FeatureSpec("mul", ("f0", "f1"))], ["f0_f1__mul"])
+    got = plan.apply_spark(spark.createDataFrame(train)).agg(
+        F.round(F.sum("f0_f1__mul"), 2).alias("total")
     )
     assert_equivalent(
         got,
-        "SELECT ROUND(SUM(l_extendedprice * l_discount), 2) AS revenue FROM lineitem",
-        lineitem=li,
+        "SELECT ROUND(SUM(f0 * f1), 2) AS total FROM t",
+        t=train,
     )
 
 
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=20_000, n_keys=100, alpha=1.2)
-    counts = df.groupBy("k").count().toPandas().sort_values("count", ascending=False)
-    top = counts["count"].iloc[0]
-    assert top > 3 * counts["count"].median()
-
-
-def test_pipeline_on_tpch_derived_label(spark):
-    """SAFE runs end-to-end on a frame whose label comes from a TPC-H-lite
-    business rule (price × discount interaction)."""
+def test_pipeline_on_tpch_derived_label():
+    """SAFE runs end-to-end on a frame whose label comes from a business
+    rule (price × discount interaction) over TPC-H lineitem-like columns."""
     from repro.core.pipeline import SafePipeline
 
-    pdf = synth_data.lineitem(spark, sf=0.002).toPandas()
-    feats = pdf[["l_quantity", "l_extendedprice", "l_discount", "l_tax"]].copy()
     rng = np.random.default_rng(0)
-    revenue = pdf["l_extendedprice"] * pdf["l_discount"]
-    feats["label"] = (revenue + rng.normal(0, revenue.std() * 0.3, len(pdf)) > revenue.median()).astype(int)
+    n = 12_000
+    feats = pd.DataFrame(
+        {
+            "l_quantity": rng.integers(1, 51, n).astype("float64"),
+            "l_extendedprice": (rng.random(n) * 90000 + 900).round(2),
+            "l_discount": (rng.random(n) * 0.1).round(2),
+            "l_tax": (rng.random(n) * 0.08).round(2),
+        }
+    )
+    revenue = feats["l_extendedprice"] * feats["l_discount"]
+    feats["label"] = (revenue + rng.normal(0, revenue.std() * 0.3, n) > revenue.median()).astype(int)
     plan = SafePipeline(gamma=4, top_k=8).fit(feats, "label")
     gen = " ".join(plan.generated_outputs())
     assert "l_extendedprice" in gen and "l_discount" in gen

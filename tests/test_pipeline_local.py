@@ -1,4 +1,6 @@
 """Integration tests: SAFE pipeline, local engine."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -124,3 +126,16 @@ def test_deterministic_given_seed(planted):
     p2 = SafePipeline().fit(train, "label")
     assert p1.output_columns == p2.output_columns
     assert p1.specs == p2.specs
+
+
+def test_plan_json_matches_golden(planted, fitted):
+    """SHA-256 of the plan JSON of seeded fits, recorded when every GBDT
+    and IV statistic still binned each row by binary search. Sorting each
+    column once, and reusing GBDT bins across stages and iterations, must
+    leave every byte of the plan as it was."""
+    train, _test = planted
+    _pipe, plan = fitted
+    two_iterations = SafePipeline(n_iterations=2, gamma=8, top_k=10).fit(train, "label")
+    digest = lambda p: hashlib.sha256(p.to_json().encode()).hexdigest()  # noqa: E731
+    assert digest(plan) == "312695dd5a8f6584f23433c6817ecc6dfa34b33c144eb677547c00ca81297cfb"
+    assert digest(two_iterations) == "124cc460602f950102f703d0a6aea382792c5d234d9ce4bccb18f6d759b1c24d"

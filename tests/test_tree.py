@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.gbdt.binning import fit_bin_mapper
+from repro.gbdt.binning import bin_matrix
 from repro.gbdt.tree import (
     Tree,
     TreeNode,
@@ -23,7 +23,7 @@ def _local_hist_fn(codes, grad, hess, mapper):
 
 
 def _grow(X, grad, hess, **kw):
-    mapper = fit_bin_mapper(X, kw.pop("n_bins", 32))
+    mapper = bin_matrix(X, kw.pop("n_bins", 32))[0]
     codes = mapper.transform(X)
     return (
         grow_tree(_local_hist_fn(codes, grad, hess, mapper), mapper, **kw),
@@ -121,7 +121,7 @@ def test_split_features_and_gains():
 
 def test_assign_slots_routes_rows():
     X = np.array([[-1.0], [1.0], [-2.0], [3.0]])
-    mapper = fit_bin_mapper(X, 8)
+    mapper = bin_matrix(X, 8)[0]
     codes = mapper.transform(X)
     tree = Tree(
         nodes=[TreeNode(feature=0, left=1, right=2), TreeNode(), TreeNode()]
@@ -170,7 +170,7 @@ def test_min_child_weight_blocks_tiny_splits():
     X = np.concatenate([np.zeros(99), [10.0]])[:, None]
     grad = np.concatenate([np.ones(99), [-50.0]])
     hess = np.ones(100)
-    mapper = fit_bin_mapper(X, 8)
+    mapper = bin_matrix(X, 8)[0]
     codes = mapper.transform(X)
     tree = grow_tree(
         _local_hist_fn(codes, grad, hess, mapper),
@@ -201,7 +201,7 @@ def test_grow_tree_scans_smaller_child_and_derives_sibling(monkeypatch):
         scale=0.3, size=3000
     )
     hess = rng.uniform(0.05, 1.0, size=3000)
-    mapper = fit_bin_mapper(X, 16)
+    mapper = bin_matrix(X, 16)[0]
     codes = mapper.transform(X)
     frontiers, seen = [], []
     direct = _local_hist_fn(codes, grad, hess, mapper)
@@ -329,7 +329,7 @@ def test_bin_mapper_transform_is_column_major_searchsorted():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(500, 4))
     X[:, 3] = np.round(X[:, 3])  # few distinct values
-    mapper = fit_bin_mapper(X, 16)
+    mapper = bin_matrix(X, 16)[0]
     codes = mapper.transform(X)
     assert codes.dtype == np.int32
     assert codes.flags["F_CONTIGUOUS"]
