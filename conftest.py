@@ -83,3 +83,21 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def spark_engine_paths(monkeypatch):
+    """Iterate to run a test body on each of ``SparkEngine``'s two paths.
+
+    ``for path in spark_engine_paths:`` sets the engine's collect budget
+    so that every frame is collected to the driver (``"collected"``), then
+    so that none is (``"distributed"``), before each pass of the body.
+    """
+    from repro.core import engine
+
+    def paths():
+        for path, budget in (("collected", 1 << 62), ("distributed", 0)):
+            monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", budget)
+            yield path
+
+    return paths()

@@ -219,8 +219,13 @@ class SparkGBDTClassifier:
     def predict_proba_spark(
         self, df: DataFrame, feature_cols: list[str], output_col: str = "probability"
     ) -> DataFrame:
-        """Distributed scoring: broadcast forest, one ``mapInPandas``."""
-        trees_bc = df.sparkSession.sparkContext.broadcast(self.trees_)
+        """Distributed scoring: one ``mapInPandas``.
+
+        The forest travels in the function's closure, not in a broadcast:
+        the returned frame is lazy, so no point in this method could
+        release one.
+        """
+        trees = list(self.trees_)
         base = self._base_margin()
         passthrough = [c for c in df.columns]
 
@@ -228,7 +233,7 @@ class SparkGBDTClassifier:
             for pdf in iterator:
                 X = pdf[feature_cols].to_numpy(dtype=np.float64)
                 margin = np.full(len(X), base)
-                for t in trees_bc.value:
+                for t in trees:
                     margin += t.predict(X)
                 out = pdf.copy()
                 out[output_col] = sigmoid(margin)

@@ -91,7 +91,7 @@ def test_remove_redundant_deterministic_tiebreak():
     assert remove_redundant(cols, iv, corr, 0.8) == ["a", "b"]
 
 
-def test_spark_matrix_matches_local(spark):
+def test_spark_matrix_matches_local(spark, spark_engine_paths):
     rng = np.random.default_rng(1)
     pdf = pd.DataFrame(
         {
@@ -103,26 +103,36 @@ def test_spark_matrix_matches_local(spark):
     pdf["label"] = (pdf["x"] > 0).astype(int)
     cols = ["x", "y", "z"]
     local = pearson_matrix(pdf[cols])
-    eng = SparkEngine(spark.createDataFrame(pdf), "label")
-    eng.iv(cols)
-    np.testing.assert_allclose(eng.corr(cols), local, atol=1e-8)
-    # a subset in another order is sliced from the same scan
-    np.testing.assert_allclose(eng.corr(["z", "x"]), pearson_matrix(pdf[["z", "x"]]), atol=1e-8)
+    sdf = spark.createDataFrame(pdf)
+    for path in spark_engine_paths:
+        eng = SparkEngine(sdf, "label")
+        eng.iv(cols)
+        np.testing.assert_allclose(eng.corr(cols), local, atol=1e-8, err_msg=path)
+        # a subset in another order is sliced from the same scan
+        np.testing.assert_allclose(
+            eng.corr(["z", "x"]), pearson_matrix(pdf[["z", "x"]]), atol=1e-8, err_msg=path
+        )
+        eng.close()
 
 
-def test_spark_corr_on_columns_iv_did_not_scan(spark):
+def test_spark_corr_on_columns_iv_did_not_scan(spark, spark_engine_paths):
     rng = np.random.default_rng(3)
     pdf = pd.DataFrame({"a": rng.normal(size=800), "b": rng.normal(size=800)})
     pdf["c"] = pdf["a"] - 0.5 * pdf["b"]
     pdf["k"] = 2.5  # constant
     pdf["label"] = rng.integers(0, 2, 800)
-    eng = SparkEngine(spark.createDataFrame(pdf), "label")
-    eng.iv(["a", "b"])
+    sdf = spark.createDataFrame(pdf)
     cols = ["c", "a", "k"]
-    np.testing.assert_allclose(eng.corr(cols), pearson_matrix(pdf[cols]), atol=1e-8)
-    # without a preceding iv call
-    fresh = SparkEngine(spark.createDataFrame(pdf), "label")
-    np.testing.assert_allclose(fresh.corr(cols), pearson_matrix(pdf[cols]), atol=1e-8)
+    want = pearson_matrix(pdf[cols])
+    for path in spark_engine_paths:
+        eng = SparkEngine(sdf, "label")
+        eng.iv(["a", "b"])
+        np.testing.assert_allclose(eng.corr(cols), want, atol=1e-8, err_msg=path)
+        # without a preceding iv call
+        fresh = SparkEngine(sdf, "label")
+        np.testing.assert_allclose(fresh.corr(cols), want, atol=1e-8, err_msg=path)
+        eng.close()
+        fresh.close()
 
 
 def test_spark_corr_matches_duckdb(spark):

@@ -90,7 +90,7 @@ def test_iv_scores_accepts_dataframe_columns():
     assert ivs["a"] > 1.0  # perfectly separating feature
 
 
-def test_spark_iv_matches_local(spark):
+def test_spark_iv_matches_local(spark, spark_engine_paths):
     rng = np.random.default_rng(4)
     n = 3000
     y = rng.integers(0, 2, n)
@@ -104,11 +104,14 @@ def test_spark_iv_matches_local(spark):
     )
     local = iv_scores(pdf, y, columns=["s", "w", "z"])
     sdf = spark.createDataFrame(pdf)
-    dist = SparkEngine(sdf, "label").iv(["s", "w", "z"])
-    for c in ("s", "w", "z"):
-        assert dist[c] == pytest.approx(local[c], abs=0.05), c
-    # ordering of predictive power is preserved exactly
-    assert dist["s"] > dist["w"] > dist["z"]
+    for path in spark_engine_paths:
+        eng = SparkEngine(sdf, "label")
+        dist = eng.iv(["s", "w", "z"])
+        eng.close()
+        for c in ("s", "w", "z"):
+            assert dist[c] == pytest.approx(local[c], abs=0.05), (path, c)
+        # ordering of predictive power is preserved exactly
+        assert dist["s"] > dist["w"] > dist["z"], path
 
 
 def test_spark_bin_counts_match_duckdb(spark):

@@ -4,6 +4,8 @@ import pandas as pd
 import pytest
 
 from repro.baselines import RandomGenPipeline
+from repro.core import engine
+from repro.core.engine import SparkEngine
 from repro.core.pipeline import SafePipeline
 from repro.models import make_classifier
 from repro.models.evaluation import auc_score
@@ -78,16 +80,17 @@ def test_spark_engine_agrees_with_local_on_outputs(spark, planted):
     assert overlap > 0.5, (sorted(a), sorted(b))
 
 
-def test_rand_imp_on_spark_engine(spark, planted):
+def test_rand_imp_on_spark_engine(spark, planted, spark_engine_paths):
     sdf = spark.createDataFrame(planted.iloc[:3500])
-    for mode in ("rand", "imp"):
-        plan = RandomGenPipeline(
-            mode=mode,
-            gamma=6,
-            mining_gbdt={"n_estimators": 4, "max_depth": 3},
-            ranking_gbdt={"n_estimators": 4, "max_depth": 3},
-        ).fit(sdf, "label", engine="spark")
-        assert plan.output_columns, mode
+    for path in spark_engine_paths:
+        for mode in ("rand", "imp"):
+            plan = RandomGenPipeline(
+                mode=mode,
+                gamma=6,
+                mining_gbdt={"n_estimators": 4, "max_depth": 3},
+                ranking_gbdt={"n_estimators": 4, "max_depth": 3},
+            ).fit(sdf, "label", engine="spark")
+            assert plan.output_columns, (path, mode)
 
 
 ONE_TREE = {"n_estimators": 1, "max_depth": 2}
@@ -97,16 +100,9 @@ def _persistent_rdds(spark) -> set[int]:
     return {int(k) for k in spark.sparkContext._jsc.getPersistentRDDs().keys()}
 
 
-def test_fit_job_budget(spark, planted):
-    """A one-tree, depth-2 fit on an uncached input runs 11 Spark jobs: 1
-    to fill the engine's cached view of the input, 2 + 2 for the mining
-    GBDT's ``approxQuantile`` and its two histogram passes, 1 gain-ratio
-    scan, 2 + 1 for the IV edges' ``approxQuantile`` and the fused
-    IV+Pearson scan, and 2 ranking-GBDT histogram passes. One more
-    ``count()`` or shuffle fails the test."""
-    sdf = spark.createDataFrame(planted.iloc[:3500])
+def _fit_jobs(spark, sdf, group: str) -> int:
+    """Spark jobs of one one-tree, depth-2 SAFE fit of ``sdf``."""
     sc = spark.sparkContext
-    group = "safe-job-budget"
     sc.setJobGroup(group, group)
     try:
         SafePipeline(mining_gbdt=ONE_TREE, ranking_gbdt=ONE_TREE).fit(
@@ -115,29 +111,89 @@ def test_fit_job_budget(spark, planted):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
-    jobs = sc.statusTracker().getJobIdsForGroup(group)
-    assert 0 < len(jobs) <= 11, len(jobs)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
 
 
-def test_fit_keeps_a_cached_input_cached(spark, planted):
+def test_fit_job_budget(spark, planted, monkeypatch):
+    """A one-tree, depth-2 distributed fit on an uncached input runs at
+    most 11 Spark jobs: 1 to fill the engine's cached view of the input,
+    2 + 2 for the mining GBDT's ``approxQuantile`` and its two histogram
+    passes, 1 gain-ratio scan, 2 + 1 for the generated columns'
+    ``approxQuantile`` and the fused IV+Pearson scan, and 2 ranking-GBDT
+    histogram passes. One more ``count()`` or shuffle fails the test."""
+    monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", 0)
+    jobs = _fit_jobs(spark, spark.createDataFrame(planted.iloc[:3500]), "safe-job-budget")
+    assert 0 < jobs <= 11, jobs
+
+
+def test_collected_fit_job_budget(spark, planted, monkeypatch):
+    """The same fit on the collected path runs 6 Spark jobs: 1 Arrow
+    collect of the input columns (which also fills the engine's cached
+    view), 2 for the mining GBDT's ``approxQuantile``, 2 for the generated
+    columns' ``approxQuantile`` and 1 Arrow collect of the generated
+    columns. Every kernel runs on the driver."""
+    monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", 1 << 62)
+    jobs = _fit_jobs(spark, spark.createDataFrame(planted.iloc[:3500]), "safe-job-budget-collected")
+    assert 0 < jobs <= 6, jobs
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_collected_and_distributed_paths_agree(
+    spark, planted, partitions, monkeypatch, spark_engine_paths
+):
+    """Both paths give the same plan, byte for byte, and the same IV and
+    gain ratios at every stage, on 1 and on 4 input partitions."""
+    sdf = spark.createDataFrame(planted.iloc[:3500]).repartition(partitions).cache()
+    seen: dict[str, list] = {}
+    for name in ("iv", "gain_ratios"):
+        method = getattr(SparkEngine, name)
+
+        def recording(self, *args, _method=method, _name=name, **kwargs):
+            out = _method(self, *args, **kwargs)
+            seen.setdefault(_name, []).append(out)
+            return out
+
+        monkeypatch.setattr(SparkEngine, name, recording)
+    pipe = SafePipeline(
+        mining_gbdt={"n_estimators": 6, "max_depth": 3},
+        ranking_gbdt={"n_estimators": 6, "max_depth": 3},
+    )
+    runs = {}
+    try:
+        for path in spark_engine_paths:
+            seen.clear()
+            runs[path] = pipe.fit(sdf, "label", engine="spark").to_json(), dict(seen)
+    finally:
+        sdf.unpersist()
+    (plan_c, stats_c), (plan_d, stats_d) = runs["collected"], runs["distributed"]
+    assert stats_c["iv"] and stats_c["gain_ratios"]
+    assert stats_c == stats_d
+    assert plan_c == plan_d
+
+
+def test_fit_keeps_a_cached_input_cached(spark, planted, spark_engine_paths):
     sdf = spark.createDataFrame(planted.iloc[:3500]).cache()
     try:
         sdf.count()
         level, cached = sdf.storageLevel, _persistent_rdds(spark)
-        SafePipeline(mining_gbdt=ONE_TREE, ranking_gbdt=ONE_TREE).fit(
-            sdf, "label", engine="spark"
-        )
-        assert sdf.storageLevel == level
-        assert _persistent_rdds(spark) == cached
+        for path in spark_engine_paths:
+            SafePipeline(mining_gbdt=ONE_TREE, ranking_gbdt=ONE_TREE).fit(
+                sdf, "label", engine="spark"
+            )
+            assert sdf.storageLevel == level, path
+            assert _persistent_rdds(spark) == cached, path
     finally:
         sdf.unpersist()
 
 
-def test_fit_leaves_nothing_cached(spark, planted):
+def test_fit_leaves_nothing_cached(spark, planted, spark_engine_paths):
+    """On the distributed path this covers the GBDT's lazily cached binned
+    frame and the engine's cached view; on the collected path, the view."""
     sdf = spark.createDataFrame(planted.iloc[:3500])
     before = _persistent_rdds(spark)
-    SafePipeline(mining_gbdt=ONE_TREE, ranking_gbdt=ONE_TREE).fit(
-        sdf, "label", engine="spark"
-    )
-    assert not sdf.is_cached
-    assert _persistent_rdds(spark) == before
+    for path in spark_engine_paths:
+        SafePipeline(mining_gbdt=ONE_TREE, ranking_gbdt=ONE_TREE).fit(
+            sdf, "label", engine="spark"
+        )
+        assert not sdf.is_cached, path
+        assert _persistent_rdds(spark) == before, path

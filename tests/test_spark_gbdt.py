@@ -108,3 +108,21 @@ def test_fit_releases_its_broadcasts(spark, data, monkeypatch):
     # 1 mapper + 2 forests + 2 trees × 2 levels
     assert len(made) == 7
     assert sorted(map(id, released)) == sorted(map(id, made))
+
+
+def test_scoring_makes_no_broadcast(spark, spark_model, data, monkeypatch):
+    """``predict_proba_spark`` returns a lazy frame, so it leaves nothing
+    to release: the forest travels in the scoring function's closure."""
+    pdf, cols = data
+    sc = spark.sparkContext
+    made = []
+    broadcast = sc.broadcast
+
+    def record_broadcast(value):
+        made.append(broadcast(value))
+        return made[-1]
+
+    monkeypatch.setattr(sc, "broadcast", record_broadcast)
+    scored = spark_model.predict_proba_spark(spark.createDataFrame(pdf.iloc[4000:4100]), cols)
+    assert len(scored.toPandas()) == 100
+    assert made == []
