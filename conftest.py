@@ -87,16 +87,18 @@ def spark() -> SparkSession:
 
 @pytest.fixture
 def spark_engine_paths(monkeypatch):
-    """Iterate to run a test body on each of ``SparkEngine``'s two paths.
+    """Iterate to run a test body on each engine a Spark input can get.
 
-    ``for path in spark_engine_paths:`` sets the engine's collect budget
-    so that every frame is collected to the driver (``"collected"``), then
-    so that none is (``"distributed"``), before each pass of the body.
+    ``for path in spark_engine_paths:`` sets the collect budget so that
+    ``SafePipeline`` fits every Spark frame with ``LocalEngine`` on a copy
+    collected to the driver (``"driver"``), then so that it fits none that
+    way and every frame gets the distributed ``SparkEngine``
+    (``"distributed"``), before each pass of the body.
     """
     from repro.core import engine
 
     def paths():
-        for path, budget in (("collected", 1 << 62), ("distributed", 0)):
+        for path, budget in (("driver", 1 << 62), ("distributed", 0)):
             monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", budget)
             yield path
 

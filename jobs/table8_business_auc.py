@@ -4,8 +4,9 @@ The feature-engineering fit runs on the **distributed Spark engine**
 (SparkEngine + SparkGBDTClassifier: approxQuantile binning, mapInPandas
 histogram partials, distributed IV / Pearson / gain-ratio) — the setting
 that makes this the paper's scalability experiment. (At full scale every
-dataset is over ``engine.COLLECT_BUDGET_BYTES``; a run scaled small
-enough to fit it runs the same kernels on a driver-side copy instead.) Downstream evaluation
+dataset is over ``engine.COLLECT_BUDGET_BYTES``; ``SafePipeline`` fits a
+run scaled small enough to fit it with the local engine on a driver-side
+copy instead.) Downstream evaluation
 classifiers (LR, RF, XGB — the paper's Table VIII set) train driver-side
 on the Ψ-transformed frames, mirroring the paper where the classifier is a
 consumer of the generated features, not part of the framework.

@@ -19,36 +19,22 @@ engine's lifetime, so the ranking GBDT re-bins no column the mining GBDT
 binned.
 
 ``SparkEngine`` holds a Spark DataFrame — the "industrial scale" setting
-of §V-B. Bin edges (IV and GBDT) come from one cache of
+of §V-B — and runs every statistic distributed, at one pass over the data
+per statistic: ``iv`` is one fused scan (:func:`repro.core.scan.scan_spark`)
+that also merges the Pearson moments, gain ratios merge per-partition
+contingencies, and :class:`SparkGBDTClassifier` aggregates histogram
+partials. Bin edges (IV and GBDT) come from one cache of
 ``approxQuantile`` values, asked for on the IV grid and the GBDT grid at
 once, so each column's sketch is fetched once and the IV fetch and the
-ranking GBDT fetch only generated columns. Each statistic then runs on
-one of two paths, chosen once per engine from the optimizer's size
-estimate of its frame, which runs no Spark job:
+ranking GBDT fetch only generated columns. A ``corr`` over columns ``iv``
+scanned reads no data, and ``add_generated`` only defines the new columns
+(cheap arithmetic), no job and no cache.
 
-* *collected*, when the estimate is within :data:`COLLECT_BUDGET_BYTES`.
-  A Spark job costs about 0.3 s whatever it reads, so a small frame is
-  collected to the driver (one Arrow collect of the label and the input
-  columns; each generated column when a statistic first needs it) and the
-  block kernels that the distributed scans run on every partition run
-  once on that block: :meth:`ColumnStats.of_block` for IV and Pearson,
-  :func:`repro.core.gain_ratio.gain_ratios`, and
-  :meth:`GBDTClassifier.fit_binned` on the block's bin codes;
-* *distributed* otherwise, at one pass over the data per statistic:
-  ``iv`` is one fused scan (:func:`repro.core.scan.scan_spark`) that also
-  merges the Pearson moments, gain ratios merge per-partition
-  contingencies, and :class:`SparkGBDTClassifier` aggregates histogram
-  partials.
-
-Either way a ``corr`` over columns ``iv`` scanned reads no data, and
-``add_generated`` only defines the new columns (cheap arithmetic), no job
-and no cache. The two paths run the same kernels on the same edges, so
-their counts agree exactly; the GBDT histograms and Pearson moments of
-several partitions are summed in another order, which can move a float
-in its last bits (tests assert byte-identical plans on 1 and 4
-partitions). Tests assert the engines agree. ``close()`` releases
-what an engine cached or collected; the caller's frame keeps its storage
-level.
+:meth:`repro.core.pipeline.SafePipeline._make_engine` chooses between
+them for a Spark input: a frame within :data:`COLLECT_BUDGET_BYTES` is
+fitted by ``LocalEngine`` on a pandas copy, a larger one by
+``SparkEngine``. Tests assert the engines agree. ``close()`` releases
+what an engine cached; the caller's frame keeps its storage level.
 """
 from __future__ import annotations
 
@@ -73,22 +59,19 @@ from .scan import ColumnStats, scan_spark
 
 __all__ = ["COLLECT_BUDGET_BYTES", "LocalEngine", "SparkEngine"]
 
-#: Largest optimizer size estimate (bytes) of a training frame that
-#: ``SparkEngine`` collects to the driver. A bound on driver memory, not a
-#: speed crossover: the collected path was 3-4x faster than the
-#: distributed one at every size swept (magic and Data1 at scales 0.05,
-#: 0.25 and 1.0, 10-tree GBDTs, local[1] and local[4]), while its extra
-#: driver peak RSS grew as about 19x the estimate (+114 MB at 6.2 MB,
-#: +467 MB at 24.6 MB). The block holds rows x (M + generated + 1) x 8 B,
-#: and one iteration generates at most 6 features per kept combination
-#: (12M at the default gamma = 2M): at most about 13x the estimate, ~104 MiB
-#: at this budget. Frames over it, and sources with no size estimate,
-#: stay distributed. The bound is not enforced, and it has two limits:
-#: the path is chosen once, from the input, so with ``n_iterations > 1``
-#: each iteration adds up to 12M more columns to the block; and for a
-#: file source (Parquet, ORC) the estimate is bytes on disk, usually
-#: compressed, so the block can be many times larger than the estimate.
-#: Only in-memory inputs over one iteration stay within ~13x.
+#: Largest optimizer size estimate (bytes) of a Spark training frame that
+#: ``SafePipeline`` fits with ``LocalEngine`` on a pandas copy; larger
+#: frames, and sources with no size estimate, get ``SparkEngine``.
+#: A bound on driver memory, not a speed crossover: the driver fit was
+#: 25-100x faster than the distributed fit at every size measured. Peak
+#: RSS added by one fit with 10-tree depth-3 GBDTs of a cached input
+#: (local[1]), Python driver on the driver fit / on the distributed fit:
+#: magic (0.35 MB estimate) 17 / 32 MB, Data1 at scale 0.05 (1.2 MB)
+#: 40 / 34 MB, Data1 at scale 0.25 (6.2 MB) 81-93 MB (~15x the estimate)
+#: / 26 MB; the driver JVM added 11-95 MB / 320-900 MB. The bound is not
+#: enforced: with ``n_iterations > 1`` each iteration adds generated
+#: columns, and for a file source (Parquet, ORC) the estimate is bytes on
+#: disk, usually compressed, so the frame can be many times larger.
 COLLECT_BUDGET_BYTES = 8 << 20
 
 
@@ -156,7 +139,7 @@ class LocalEngine:
 
 
 class SparkEngine:
-    """Engine over a Spark DataFrame.
+    """Distributed engine over a Spark DataFrame.
 
     Every statistic reads the training frame. A cached input is read as
     given; an uncached one is read through a cached view that the engine
@@ -164,11 +147,6 @@ class SparkEngine:
     level either way. (A frame built from pandas is a ``LocalRelation``,
     and Spark's optimiser evaluates a projection over one on the driver,
     row by row, every time a query is planned.)
-
-    ``collected`` is chosen once, from the optimizer's size estimate of
-    that frame (which runs no job): within :data:`COLLECT_BUDGET_BYTES`,
-    the statistics run their block kernels on a copy of the frame
-    collected to the driver; otherwise each runs distributed.
     """
 
     def __init__(self, df: DataFrame, label_col: str):
@@ -177,9 +155,6 @@ class SparkEngine:
         self._owned: DataFrame | None = None if cached else df.select("*").cache()
         self.df = df if cached else self._owned
         self.label_col = label_col
-        self.collected = _size_estimate(self.df) <= COLLECT_BUDGET_BYTES
-        # column -> float64 values collected to the driver (collected path)
-        self._block: dict[str, np.ndarray] = {}
         self._quantiles: dict[str, dict[float, float]] = {}
         # every probability asked for so far; the IV grid is asked for up
         # front, so the mining GBDT's fetch also serves IV's base columns
@@ -207,26 +182,18 @@ class SparkEngine:
                 self._quantiles[c] = dict(zip(grid, values))
         return [[self._quantiles[c][p] for p in probs if p in self._quantiles[c]] for c in cols]
 
-    def fit_gbdt(self, cols: list[str], **params) -> GBDTClassifier | SparkGBDTClassifier:
-        model = (GBDTClassifier if self.collected else SparkGBDTClassifier)(**params)
-        # rows before edges: a collect fills an uncached input's view within
-        # its own job, where an approxQuantile would need a job more
-        rows = self._rows(cols) if self.collected else None
+    def fit_gbdt(self, cols: list[str], **params) -> SparkGBDTClassifier:
+        model = SparkGBDTClassifier(**params)
         mapper = mapper_from_quantiles(self.quantiles(cols, quantile_probs(model.n_bins)))
-        if rows is None:
-            return model.fit(self.df, cols, self.label_col, mapper=mapper)
-        X, y = rows
-        return model.fit_binned(mapper.transform(X), mapper, y)
+        return model.fit(self.df, cols, self.label_col, mapper)
 
     def gain_ratios(self, cols: list[str], combos: list[FeatureCombo]) -> list[float]:
-        if self.collected:
-            return gain_ratios(*self._rows(cols), combos)
         return gain_ratios_spark(self.df, cols, self.label_col, combos)
 
     def iv(self, cols: list[str], beta: int = DEFAULT_BETA) -> dict[str, float]:
         """IV per column from one fused scan that also keeps the Pearson moments."""
         edges = [np.unique(q) for q in self.quantiles(cols, quantile_probs(beta))]
-        stats = self._scan(cols, edges)
+        stats = scan_spark(self.df, cols, self.label_col, edges)
         self._scanned = (list(cols), stats)
         return dict(zip(cols, stats.iv()))
 
@@ -235,44 +202,10 @@ class SparkEngine:
         ``cols``; otherwise one scan of ``cols``."""
         scanned, stats = self._scanned
         if not set(cols) <= set(scanned):
-            scanned, stats = cols, self._scan(cols, [np.empty(0)] * len(cols))
+            scanned = cols
+            stats = scan_spark(self.df, cols, self.label_col, [np.empty(0)] * len(cols))
         at = {c: i for i, c in enumerate(scanned)}
         return stats.pearson([at[c] for c in cols])
-
-    def _scan(self, cols: list[str], edges: list[np.ndarray]) -> ColumnStats:
-        if self.collected:
-            return ColumnStats.of_block(*self._rows(cols), edges)
-        return scan_spark(self.df, cols, self.label_col, edges)
-
-    def _rows(self, cols: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """``(X, y)`` of ``cols`` from the block collected to the driver.
-
-        The first call collects every column of the engine frame (in a
-        SAFE fit: the label and the input columns); a generated column is
-        collected when first asked for, not recomputed with ``np_fn`` (the
-        Spark and numpy ``div`` differ on a NaN divisor).
-        """
-        if not self._block:
-            self._collect(self.df.columns)
-        self._collect([c for c in cols if c not in self._block])
-        y = self._block[self.label_col]
-        X = np.empty((len(y), len(cols)), order="F")
-        for j, c in enumerate(cols):
-            X[:, j] = self._block[c]
-        return X, y
-
-    def _collect(self, cols: list[str]) -> None:
-        """Add ``cols`` of the engine frame to the block (one Arrow collect)."""
-        if not cols:
-            return
-        pdf = self.df.select(*cols).toPandas()
-        if self._block and len(pdf) != len(self._block[self.label_col]):
-            raise RuntimeError(
-                f"collected {len(pdf)} rows of {cols}, "
-                f"{len(self._block[self.label_col])} in the block before"
-            )
-        for c in cols:
-            self._block[c] = pdf[c].to_numpy(dtype=np.float64)
 
     def add_generated(self, specs: list[FeatureSpec]) -> None:
         from pyspark.sql import functions as F
@@ -291,17 +224,7 @@ class SparkEngine:
             self.df = self.df.select("*", *exprs)
 
     def close(self) -> None:
-        """Drop the collected block and release the view this engine cached
-        (the caller's frame is untouched)."""
-        self._block.clear()
+        """Release the view this engine cached (the caller's frame is untouched)."""
         if self._owned is not None:
             self._owned.unpersist()
             self._owned = None
-
-
-def _size_estimate(df: DataFrame) -> int:
-    """The optimizer's size estimate of ``df`` in bytes (runs no Spark job).
-
-    A source without statistics reports ``Long.MAX_VALUE``.
-    """
-    return int(df._jdf.queryExecution().optimizedPlan().stats().sizeInBytes())

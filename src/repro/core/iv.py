@@ -13,18 +13,22 @@ smoothed with 0.5 so WOE stays finite.
 
 This module holds the numpy path (exact ``np.quantile`` edges). It sorts
 each column once, and its positive rows once: the edges are quantiles of
-the sorted values, and each bin's total and positive counts are differences
-of ``searchsorted`` positions of the edges in the two sorted arrays, so no
-row is binned one by one. The counts equal a ``bincount`` of
-:func:`equal_freq_bin`'s codes. The Spark engine takes its edges from
-``approxQuantile`` and its per-bin counts from the fused IV+Pearson scan of
-:mod:`repro.core.scan`, then finishes with the same :func:`iv_from_counts`;
-the two agree up to the quantile approximation.
+the sorted column's finite values, and each bin's total and positive
+counts are differences of ``searchsorted`` positions of the edges in the
+two sorted arrays, so no row is binned one by one. The counts equal a
+``bincount`` of :func:`equal_freq_bin`'s codes. NaN and ±inf take no part
+in the edges: -inf falls in the first bin, +inf and NaN in the last. The
+distributed Spark engine takes its edges from ``approxQuantile`` (which
+skips nulls and NaN) and its per-bin counts from the fused IV+Pearson scan
+of :mod:`repro.core.scan`, then finishes with the same
+:func:`iv_from_counts`; the two agree up to the quantile approximation.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from ..gbdt.binning import finite_slice
 
 __all__ = ["IV_BANDS", "iv_from_counts", "iv_scores", "equal_freq_bin", "sorted_bin_counts"]
 
@@ -65,8 +69,15 @@ def equal_freq_bin(x: np.ndarray, beta: int = DEFAULT_BETA) -> np.ndarray:
     IV is 0 — correctly flagged useless).
     """
     x = np.asarray(x, dtype=np.float64)
-    edges = np.quantile(x, np.linspace(0, 1, beta + 1)[1:-1])
-    return np.searchsorted(np.unique(edges), x, side="left")
+    return np.searchsorted(_edges(np.sort(x), beta), x, side="left")
+
+
+def _edges(xs: np.ndarray, beta: int) -> np.ndarray:
+    """Distinct equal-frequency edges of a sorted column's finite values."""
+    finite = finite_slice(xs)
+    if finite.size == 0:
+        return np.empty(0, dtype=np.float64)
+    return np.unique(np.quantile(finite, np.linspace(0, 1, beta + 1)[1:-1]))
 
 
 def iv_scores(
@@ -103,7 +114,7 @@ def sorted_bin_counts(
     ``searchsorted(edges, ·, 'left')`` puts at or below ``b``: those that
     are not above ``edges[b]``.
     """
-    edges = np.unique(np.quantile(xs, np.linspace(0, 1, beta + 1)[1:-1]))
+    edges = _edges(xs, beta)
     inner = edges[: np.searchsorted(edges, xs[-1], side="left")]
     total = np.diff(np.searchsorted(xs, inner, side="right"), prepend=0, append=len(xs))
     pos = np.diff(np.searchsorted(xs_pos, inner, side="right"), prepend=0, append=len(xs_pos))

@@ -51,7 +51,9 @@ def _np_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _spark_div(a: Column, b: Column) -> Column:
-    return F.when(F.abs(b) > F.lit(_DIV_EPS), a / b).otherwise(F.lit(0.0))
+    # Spark orders NaN above every double, so ``abs(NaN) > eps`` holds; a
+    # NaN divisor gives 0, as in ``_np_div``
+    return F.when(~F.isnan(b) & (F.abs(b) > F.lit(_DIV_EPS)), a / b).otherwise(F.lit(0.0))
 
 
 BINARY_OPERATORS: dict[str, Operator] = {}

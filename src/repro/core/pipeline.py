@@ -26,6 +26,7 @@ from pyspark.sql import DataFrame
 
 from .combos import mine_combos
 from .correlation import DEFAULT_THETA
+from . import engine as engines
 from .engine import LocalEngine, SparkEngine
 from .gain_ratio import top_combos
 from .iv import DEFAULT_ALPHA, DEFAULT_BETA
@@ -83,9 +84,12 @@ class SafePipeline:
     ) -> FeaturePlan:
         """Learn Ψ from a pandas or Spark training frame.
 
-        ``engine='auto'`` picks ``local`` for pandas input and ``spark``
-        for Spark input; pass explicitly to force (a Spark frame with
-        ``engine='local'`` is collected to the driver via Arrow).
+        A pandas input is fitted by the local numpy engine. A Spark input
+        (``engine='auto'`` or ``'spark'``) is fitted by the local engine on
+        a copy collected with Arrow when the optimizer's size estimate of
+        ``train ∪ valid`` is within ``engine.COLLECT_BUDGET_BYTES``, and by
+        the distributed Spark engine otherwise; ``engine='local'`` collects
+        a Spark frame whatever its size.
         """
         eng = self._make_engine(train, label_col, valid, engine)
         try:
@@ -163,18 +167,28 @@ class SafePipeline:
     # ------------------------------------------------------------------
     @staticmethod
     def _make_engine(train, label_col, valid, engine: str):
-        if engine == "auto":
-            engine = "spark" if isinstance(train, DataFrame) else "local"
-        if engine == "local":
-            if isinstance(train, DataFrame):
-                train = train.toPandas()
-            if valid is not None:
-                vpdf = valid.toPandas() if isinstance(valid, DataFrame) else valid
-                train = pd.concat([train, vpdf], ignore_index=True)
-            return LocalEngine(train, label_col)
-        if engine == "spark":
-            if not isinstance(train, DataFrame):
-                raise TypeError("engine='spark' needs a Spark DataFrame")
-            df = train if valid is None else train.unionByName(valid)
-            return SparkEngine(df, label_col)
-        raise ValueError(f"unknown engine {engine!r}")
+        """The engine that fits ``train`` (∪ ``valid``), chosen as ``fit``
+        describes; the only place that picks the engine of a Spark input."""
+        if engine not in ("auto", "local", "spark"):
+            raise ValueError(f"unknown engine {engine!r}")
+        if isinstance(train, DataFrame):
+            if engine != "local":
+                df = train if valid is None else train.unionByName(valid)
+                if _size_estimate(df) > engines.COLLECT_BUDGET_BYTES:
+                    return SparkEngine(df, label_col)
+                train, valid = df, None
+            train = train.toPandas()
+        elif engine == "spark":
+            raise TypeError("engine='spark' needs a Spark DataFrame")
+        if valid is not None:
+            vpdf = valid.toPandas() if isinstance(valid, DataFrame) else valid
+            train = pd.concat([train, vpdf], ignore_index=True)
+        return LocalEngine(train, label_col)
+
+
+def _size_estimate(df: DataFrame) -> int:
+    """The optimizer's size estimate of ``df`` in bytes (runs no Spark job).
+
+    A source without statistics reports ``Long.MAX_VALUE``.
+    """
+    return int(df._jdf.queryExecution().optimizedPlan().stats().sizeInBytes())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BinMapper", "bin_column", "bin_matrix"]
+__all__ = ["BinMapper", "bin_column", "bin_matrix", "finite_slice"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,14 @@ class BinMapper:
         return out
 
 
+def finite_slice(sorted_col: np.ndarray) -> np.ndarray:
+    """The finite values of a column sorted ascending, NaNs last (as
+    ``np.sort`` leaves them): the run between the -inf and the +inf/NaN ends."""
+    lo = np.searchsorted(sorted_col, -np.inf, side="right")
+    hi = np.searchsorted(sorted_col, np.inf, side="left")
+    return sorted_col[lo:hi]
+
+
 def _feature_edges(sorted_col: np.ndarray, n_bins: int) -> np.ndarray:
     """Quantile candidate thresholds for one feature, from its sorted values.
 
@@ -71,9 +79,7 @@ def _feature_edges(sorted_col: np.ndarray, n_bins: int) -> np.ndarray:
     equals a data value exactly (robust to the left/right searchsorted
     convention).
     """
-    lo = np.searchsorted(sorted_col, -np.inf, side="right")
-    hi = np.searchsorted(sorted_col, np.inf, side="left")
-    col = sorted_col[lo:hi]
+    col = finite_slice(sorted_col)
     if col.size == 0:
         return np.empty(0, dtype=np.float64)
     uniq = col[np.concatenate(([True], col[1:] != col[:-1]))]

@@ -4,8 +4,7 @@ Architecture (same as distributed XGBoost's histogram algorithm):
 
 1. bin edges → a broadcast ``BinMapper``. ``fit`` takes the mapper from
    its caller (``SparkEngine`` serves the edges from its quantile cache,
-   so a fit inside SAFE makes no ``approxQuantile`` call of its own) or
-   makes one ``approxQuantile`` call;
+   see :func:`mapper_from_quantiles`);
 2. the binned frame (int bin codes + label) is a lazy ``mapInPandas`` over
    the input's own partitions, coalesced, never shuffled, to at most
    ``sparkContext.defaultParallelism`` of them, and cached. No job counts
@@ -21,8 +20,7 @@ Architecture (same as distributed XGBoost's histogram algorithm):
    the smaller-hessian child of each split (the driver derives the
    sibling), so partials carry one slot per split instead of two.
 
-A fit of K trees of depth D therefore runs at most K·D histogram jobs,
-plus the ``approxQuantile`` call when it fetches its own edges.
+A fit of K trees of depth D therefore runs at most K·D histogram jobs.
 
 Margins are recomputed statelessly per scan (no mutable column chain, no
 lineage growth). That is not free: on one 25k×40 partition, re-predicting
@@ -86,18 +84,10 @@ class SparkGBDTClassifier:
         df: DataFrame,
         feature_cols: list[str],
         label_col: str,
-        mapper: BinMapper | None = None,
+        mapper: BinMapper,
     ) -> "SparkGBDTClassifier":
-        """Train on ``df``. ``mapper`` holds precomputed bin edges; without
-        it the edges come from one ``approxQuantile`` call (relative error
-        ``QUANTILE_REL_ERROR``)."""
+        """Train on ``df`` with the bin edges of ``mapper``."""
         self.n_features_ = len(feature_cols)
-        if mapper is None:
-            mapper = mapper_from_quantiles(
-                df.stat.approxQuantile(
-                    feature_cols, quantile_probs(self.n_bins), QUANTILE_REL_ERROR
-                )
-            )
         self.mapper_ = mapper
         spark = df.sparkSession
         mapper_bc = spark.sparkContext.broadcast(self.mapper_)
@@ -215,32 +205,6 @@ class SparkGBDTClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         p = sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p, p])
-
-    def predict_proba_spark(
-        self, df: DataFrame, feature_cols: list[str], output_col: str = "probability"
-    ) -> DataFrame:
-        """Distributed scoring: one ``mapInPandas``.
-
-        The forest travels in the function's closure, not in a broadcast:
-        the returned frame is lazy, so no point in this method could
-        release one.
-        """
-        trees = list(self.trees_)
-        base = self._base_margin()
-        passthrough = [c for c in df.columns]
-
-        def score(iterator):
-            for pdf in iterator:
-                X = pdf[feature_cols].to_numpy(dtype=np.float64)
-                margin = np.full(len(X), base)
-                for t in trees:
-                    margin += t.predict(X)
-                out = pdf.copy()
-                out[output_col] = sigmoid(margin)
-                yield out
-
-        schema = df.schema.add(output_col, "double")
-        return df.select(*passthrough).mapInPandas(score, schema=schema)
 
     paths = GBDTClassifier.paths
     split_features = GBDTClassifier.split_features

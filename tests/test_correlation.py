@@ -91,7 +91,7 @@ def test_remove_redundant_deterministic_tiebreak():
     assert remove_redundant(cols, iv, corr, 0.8) == ["a", "b"]
 
 
-def test_spark_matrix_matches_local(spark, spark_engine_paths):
+def test_spark_matrix_matches_local(spark):
     rng = np.random.default_rng(1)
     pdf = pd.DataFrame(
         {
@@ -104,18 +104,17 @@ def test_spark_matrix_matches_local(spark, spark_engine_paths):
     cols = ["x", "y", "z"]
     local = pearson_matrix(pdf[cols])
     sdf = spark.createDataFrame(pdf)
-    for path in spark_engine_paths:
-        eng = SparkEngine(sdf, "label")
-        eng.iv(cols)
-        np.testing.assert_allclose(eng.corr(cols), local, atol=1e-8, err_msg=path)
-        # a subset in another order is sliced from the same scan
-        np.testing.assert_allclose(
-            eng.corr(["z", "x"]), pearson_matrix(pdf[["z", "x"]]), atol=1e-8, err_msg=path
-        )
-        eng.close()
+    eng = SparkEngine(sdf, "label")
+    eng.iv(cols)
+    np.testing.assert_allclose(eng.corr(cols), local, atol=1e-8)
+    # a subset in another order is sliced from the same scan
+    np.testing.assert_allclose(
+        eng.corr(["z", "x"]), pearson_matrix(pdf[["z", "x"]]), atol=1e-8
+    )
+    eng.close()
 
 
-def test_spark_corr_on_columns_iv_did_not_scan(spark, spark_engine_paths):
+def test_spark_corr_on_columns_iv_did_not_scan(spark):
     rng = np.random.default_rng(3)
     pdf = pd.DataFrame({"a": rng.normal(size=800), "b": rng.normal(size=800)})
     pdf["c"] = pdf["a"] - 0.5 * pdf["b"]
@@ -124,15 +123,14 @@ def test_spark_corr_on_columns_iv_did_not_scan(spark, spark_engine_paths):
     sdf = spark.createDataFrame(pdf)
     cols = ["c", "a", "k"]
     want = pearson_matrix(pdf[cols])
-    for path in spark_engine_paths:
-        eng = SparkEngine(sdf, "label")
-        eng.iv(["a", "b"])
-        np.testing.assert_allclose(eng.corr(cols), want, atol=1e-8, err_msg=path)
-        # without a preceding iv call
-        fresh = SparkEngine(sdf, "label")
-        np.testing.assert_allclose(fresh.corr(cols), want, atol=1e-8, err_msg=path)
-        eng.close()
-        fresh.close()
+    eng = SparkEngine(sdf, "label")
+    eng.iv(["a", "b"])
+    np.testing.assert_allclose(eng.corr(cols), want, atol=1e-8)
+    # without a preceding iv call
+    fresh = SparkEngine(sdf, "label")
+    np.testing.assert_allclose(fresh.corr(cols), want, atol=1e-8)
+    eng.close()
+    fresh.close()
 
 
 def test_spark_corr_matches_duckdb(spark):

@@ -133,111 +133,77 @@ def test_local_gain_ratios_positional_indexing(pdf):
     assert r_a > r_b  # same combo, different positional meaning
 
 
-def test_spark_engine_parity(spark, pdf, spark_engine_paths):
+def test_spark_engine_parity(spark, pdf):
     sdf = spark.createDataFrame(pdf)
     local = LocalEngine(pdf, "label")
-    for path in spark_engine_paths:
-        dist = SparkEngine(sdf, "label")
-        try:
-            assert dist.collected == (path == "collected")
-            assert dist.feature_columns == local.feature_columns
-            iv_l = local.iv(["a", "b", "c"])
-            iv_d = dist.iv(["a", "b", "c"])
-            for c in ("a", "b", "c"):
-                assert iv_d[c] == pytest.approx(iv_l[c], abs=0.05), path
-            np.testing.assert_allclose(
-                dist.corr(["a", "b", "c"]), local.corr(["a", "b", "c"]), atol=1e-8
-            )
-            combo = FeatureCombo((0, 2), ((0.5,), (0.5,)))
-            np.testing.assert_allclose(
-                dist.gain_ratios(["a", "b", "c"], [combo]),
-                local.gain_ratios(["a", "b", "c"], [combo]),
-                rtol=1e-9,
-            )
-        finally:
-            dist.close()
+    dist = SparkEngine(sdf, "label")
+    try:
+        assert dist.feature_columns == local.feature_columns
+        iv_l = local.iv(["a", "b", "c"])
+        iv_d = dist.iv(["a", "b", "c"])
+        for c in ("a", "b", "c"):
+            assert iv_d[c] == pytest.approx(iv_l[c], abs=0.05)
+        np.testing.assert_allclose(
+            dist.corr(["a", "b", "c"]), local.corr(["a", "b", "c"]), atol=1e-8
+        )
+        combo = FeatureCombo((0, 2), ((0.5,), (0.5,)))
+        np.testing.assert_allclose(
+            dist.gain_ratios(["a", "b", "c"], [combo]),
+            local.gain_ratios(["a", "b", "c"], [combo]),
+            rtol=1e-9,
+        )
+    finally:
+        dist.close()
 
 
-def test_spark_add_generated(spark, pdf, spark_engine_paths):
-    sdf = spark.createDataFrame(pdf)
-    for path in spark_engine_paths:
-        eng = SparkEngine(sdf, "label")
-        try:
-            s1 = FeatureSpec("mul", ("a", "b"))
-            s2 = FeatureSpec("add", (s1.name, "c"))
-            eng.add_generated([s1, s2])
-            out = eng.df.select(s1.name, s2.name, "a", "b", "c").toPandas()
-            np.testing.assert_allclose(out[s1.name], out["a"] * out["b"], rtol=1e-12)
-            np.testing.assert_allclose(
-                out[s2.name], out["a"] * out["b"] + out["c"], rtol=1e-12
-            )
-            # the statistics see the generated columns as Spark computes them
-            got = eng.corr([s1.name, s2.name, "a"])
-            want = np.corrcoef(out[[s1.name, s2.name, "a"]].to_numpy().T)
-            np.testing.assert_allclose(got, want, atol=1e-8, err_msg=path)
-        finally:
-            eng.close()
+def test_spark_add_generated(spark, pdf):
+    eng = SparkEngine(spark.createDataFrame(pdf), "label")
+    try:
+        s1 = FeatureSpec("mul", ("a", "b"))
+        s2 = FeatureSpec("add", (s1.name, "c"))
+        eng.add_generated([s1, s2])
+        out = eng.df.select(s1.name, s2.name, "a", "b", "c").toPandas()
+        np.testing.assert_allclose(out[s1.name], out["a"] * out["b"], rtol=1e-12)
+        np.testing.assert_allclose(
+            out[s2.name], out["a"] * out["b"] + out["c"], rtol=1e-12
+        )
+        # the statistics see the generated columns as Spark computes them
+        got = eng.corr([s1.name, s2.name, "a"])
+        want = np.corrcoef(out[[s1.name, s2.name, "a"]].to_numpy().T)
+        np.testing.assert_allclose(got, want, atol=1e-8)
+    finally:
+        eng.close()
 
 
 def test_spark_choosing_a_path_runs_no_job(spark, pdf, monkeypatch):
-    """The path comes from the optimizer's size estimate of the frame,
-    read without a Spark job, against ``COLLECT_BUDGET_BYTES``."""
+    """``SafePipeline._make_engine`` gives a Spark frame within
+    ``COLLECT_BUDGET_BYTES`` to ``LocalEngine`` and a larger one to
+    ``SparkEngine``, from the optimizer's size estimate of the frame, read
+    without a Spark job."""
     sdf = spark.createDataFrame(pdf)
+    small = SafePipeline._make_engine(sdf, "label", sdf, "auto")
+    assert isinstance(small, LocalEngine)
+    pd.testing.assert_frame_equal(small.pdf, pd.concat([pdf, pdf], ignore_index=True))
     sc = spark.sparkContext
     group = "safe-choose-path"
     sc.setJobGroup(group, group)
     try:
-        small = SparkEngine(sdf, "label")
         monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", 0)
-        large = SparkEngine(sdf, "label")
+        large = SafePipeline._make_engine(sdf, "label", None, "spark")
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    small.close()
     large.close()
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
-    assert small.collected and not large.collected
+    assert isinstance(large, SparkEngine)
     # a source without statistics reports no size, so it is never collected
     monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", 1 << 62)
     rdd = sc.parallelize([(1.0, 0)] * 10)
-    unsized = SparkEngine(spark.createDataFrame(rdd, "a double, label long"), "label")
+    unsized = SafePipeline._make_engine(
+        spark.createDataFrame(rdd, "a double, label long"), "label", None, "auto"
+    )
     unsized.close()
-    assert not unsized.collected
-
-
-def test_spark_collected_block_is_read_once_and_dropped_on_close(spark, pdf, monkeypatch):
-    """One collect of the input columns, one per batch of generated
-    columns first asked for; ``close`` empties the block."""
-    monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", 1 << 62)
-    eng = SparkEngine(spark.createDataFrame(pdf), "label")
-    assert eng.collected
-    collects: list[list[str]] = []
-    collect = eng._collect
-    eng._collect = lambda cols: (collects.append(list(cols)), collect(cols))
-    spec = FeatureSpec("div", ("a", "b"))
-    eng.fit_gbdt(["a", "b"], n_estimators=1, max_depth=2)
-    eng.add_generated([spec])
-    eng.iv(["a", "c", spec.name])
-    eng.gain_ratios(["c", spec.name], [FeatureCombo((0,), ((0.5,),))])
-    eng.close()
-    assert [c for c in collects if c] == [["a", "b", "c", "label"], [spec.name]]
-    assert not eng._block
-
-
-def test_spark_collect_checks_row_counts(spark, pdf, monkeypatch):
-    """A later collect that returns another row count than the block's
-    raises instead of pairing rows of different frames."""
-    monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", 1 << 62)
-    eng = SparkEngine(spark.createDataFrame(pdf), "label")
-    try:
-        eng.iv(["a"])
-        eng.df = eng.df.limit(10)
-        spec = FeatureSpec("mul", ("a", "b"))
-        eng.add_generated([spec])
-        with pytest.raises(RuntimeError, match="rows"):
-            eng.iv([spec.name])
-    finally:
-        eng.close()
+    assert isinstance(unsized, SparkEngine)
 
 
 @pytest.fixture
@@ -278,9 +244,7 @@ def test_spark_quantiles_equal_approx_quantile(spark, pdf, count_approx_quantile
     assert len(count_approx_quantile) == 2
 
 
-def test_spark_ranking_gbdt_fetches_no_quantiles(
-    spark, count_approx_quantile, monkeypatch, spark_engine_paths
-):
+def test_spark_ranking_gbdt_fetches_no_quantiles(spark, count_approx_quantile, monkeypatch):
     """The mining GBDT's fetch also holds the IV grid of the base columns,
     so the IV fetch names only generated columns and the ranking GBDT
     fetches nothing."""
@@ -299,14 +263,12 @@ def test_spark_ranking_gbdt_fetches_no_quantiles(
         return model
 
     monkeypatch.setattr(SparkEngine, "fit_gbdt", counting_fit_gbdt)
+    monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", 0)
     gbdt = {"n_estimators": 2, "max_depth": 2}
-    for path in spark_engine_paths:
-        per_fit.clear()
-        count_approx_quantile.clear()
-        SafePipeline(mining_gbdt=gbdt, ranking_gbdt=gbdt).fit(
-            spark.createDataFrame(planted), "label", engine="spark"
-        )
-        assert per_fit == [1, 0], path  # mining GBDT fetches, ranking GBDT reuses
-        mining, iv = count_approx_quantile  # mining GBDT + IV
-        assert mining == ["x0", "x1", "x2"], path
-        assert iv and all("__" in c for c in iv), (path, iv)  # generated names only
+    SafePipeline(mining_gbdt=gbdt, ranking_gbdt=gbdt).fit(
+        spark.createDataFrame(planted), "label", engine="spark"
+    )
+    assert per_fit == [1, 0]  # mining GBDT fetches, ranking GBDT reuses
+    mining, iv = count_approx_quantile  # mining GBDT + IV
+    assert mining == ["x0", "x1", "x2"]
+    assert iv and all("__" in c for c in iv), iv  # generated names only

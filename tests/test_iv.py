@@ -13,6 +13,7 @@ from repro.core.iv import (
     iv_scores,
 )
 from repro.core.engine import SparkEngine
+from repro.core.pipeline import SafePipeline
 from repro.core.scan import scan_spark
 from repro.oracle import assert_equivalent
 
@@ -90,7 +91,24 @@ def test_iv_scores_accepts_dataframe_columns():
     assert ivs["a"] > 1.0  # perfectly separating feature
 
 
-def test_spark_iv_matches_local(spark, spark_engine_paths):
+def test_nan_rows_keep_a_column_informative():
+    """5% NaN in x0 of a label set by x0·x1 > 0: the IV edges come from the
+    finite values, so x0 keeps most of its IV (NaN edges put every row in
+    one bin, IV 0) and the plan still holds the x0/x1 combinations."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(2000, 6))
+    pdf = pd.DataFrame(X, columns=[f"x{i}" for i in range(6)])
+    pdf["label"] = (X[:, 0] * X[:, 1] > 0).astype(int)
+    clean = iv_scores(pdf, pdf["label"], columns=["x0"])["x0"]
+    pdf.loc[rng.random(2000) < 0.05, "x0"] = np.nan
+    with_nan = iv_scores(pdf, pdf["label"], columns=["x0"])["x0"]
+    assert 0.5 * clean < with_nan < clean
+    plan = SafePipeline().fit(pdf, "label", engine="local")
+    pair = [c for c in plan.generated_outputs() if {"x0", "x1"} <= set(c.split("__")[0].split("_"))]
+    assert len(pair) >= 5, plan.output_columns
+
+
+def test_spark_iv_matches_local(spark):
     rng = np.random.default_rng(4)
     n = 3000
     y = rng.integers(0, 2, n)
@@ -104,14 +122,13 @@ def test_spark_iv_matches_local(spark, spark_engine_paths):
     )
     local = iv_scores(pdf, y, columns=["s", "w", "z"])
     sdf = spark.createDataFrame(pdf)
-    for path in spark_engine_paths:
-        eng = SparkEngine(sdf, "label")
-        dist = eng.iv(["s", "w", "z"])
-        eng.close()
-        for c in ("s", "w", "z"):
-            assert dist[c] == pytest.approx(local[c], abs=0.05), (path, c)
-        # ordering of predictive power is preserved exactly
-        assert dist["s"] > dist["w"] > dist["z"], path
+    eng = SparkEngine(sdf, "label")
+    dist = eng.iv(["s", "w", "z"])
+    eng.close()
+    for c in ("s", "w", "z"):
+        assert dist[c] == pytest.approx(local[c], abs=0.05), c
+    # ordering of predictive power is preserved exactly
+    assert dist["s"] > dist["w"] > dist["z"]
 
 
 def test_spark_bin_counts_match_duckdb(spark):

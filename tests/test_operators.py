@@ -118,6 +118,24 @@ def test_spark_div_guard_matches_duckdb_oracle(spark, pair_pdf):
     )
 
 
+def test_spark_div_matches_numpy_on_degenerate_divisors(spark):
+    """NaN, null, zero, tiny and infinite divisors give the same value
+    through ``spark_fn`` as through ``np_fn`` (null arrives as NaN)."""
+    op = BINARY_OPERATORS["div"]
+    divisors = [float("nan"), None, 0.0, 1e-15, float("inf"), float("-inf"), 2.0]
+    numerators = [1.0, -3.0]
+    # a literal NaN: Arrow's createDataFrame would turn a pandas NaN into null
+    exprs = [
+        op.spark_fn(F.lit(a), F.lit(b).cast("double")).alias(f"v{i}_{j}")
+        for i, a in enumerate(numerators)
+        for j, b in enumerate(divisors)
+    ]
+    got = spark.range(1).select(*exprs).toPandas().to_numpy(dtype=np.float64)[0]
+    b = np.array([np.nan if d is None else d for d in divisors])
+    want = np.concatenate([op.np_fn(np.full(len(b), a), b) for a in numerators])
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div"])
 def test_spark_matches_numpy(spark, pair_pdf, op_name):
     op = BINARY_OPERATORS[op_name]

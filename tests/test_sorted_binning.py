@@ -49,7 +49,9 @@ def ref_bin_matrix(X, n_bins):
 
 
 def ref_iv_counts(x, y, beta):
-    edges = np.quantile(x, np.linspace(0, 1, beta + 1)[1:-1])
+    # edges from the finite values only; NaN and +inf land in the last bin
+    finite = x[np.isfinite(x)]
+    edges = np.quantile(finite, np.linspace(0, 1, beta + 1)[1:-1]) if finite.size else np.empty(0)
     codes = np.searchsorted(np.unique(edges), x, side="left")
     n_bins = int(codes.max()) + 1 if len(codes) else 1
     return np.bincount(codes[y], minlength=n_bins), np.bincount(codes[~y], minlength=n_bins)
@@ -169,8 +171,9 @@ def test_iv_keeps_empty_inner_bins():
     assert list(got_total) == [2, 0, 0, 0, 2]
 
 
-def test_nan_column_still_lands_in_bin_zero():
-    """The NaN defect is unchanged: a NaN edge puts every row in bin 0."""
+def test_nan_lands_in_the_last_bin():
+    """The edges come from the finite values, so a NaN row counts in the
+    last bin and the finite rows keep their own bins."""
     x = np.array([np.nan, 1.0, 2.0, 3.0, 4.0])
-    pos, total = sorted_bin_counts(np.sort(x), np.sort(x[[True, False, True, False, False]]), 10)
-    assert list(pos) == [2] and list(total) == [5]
+    pos, total = sorted_bin_counts(np.sort(x), np.sort(x[[True, False, True, False, False]]), 4)
+    assert list(total) == [1, 1, 1, 2] and list(pos) == [0, 1, 0, 1]

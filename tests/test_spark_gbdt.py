@@ -4,7 +4,12 @@ import pandas as pd
 import pytest
 
 from repro.gbdt import GBDTClassifier
-from repro.gbdt.spark_backend import SparkGBDTClassifier
+from repro.gbdt.spark_backend import (
+    QUANTILE_REL_ERROR,
+    SparkGBDTClassifier,
+    mapper_from_quantiles,
+    quantile_probs,
+)
 from repro.models.evaluation import auc_score
 
 
@@ -21,12 +26,18 @@ def data():
     return pdf, cols
 
 
+def _mapper(sdf, cols, n_bins=64):
+    return mapper_from_quantiles(
+        sdf.stat.approxQuantile(cols, quantile_probs(n_bins), QUANTILE_REL_ERROR)
+    )
+
+
 @pytest.fixture(scope="module")
 def spark_model(spark, data):
     pdf, cols = data
     train = spark.createDataFrame(pdf.iloc[:4000])
     m = SparkGBDTClassifier(n_estimators=8, max_depth=3)
-    m.fit(train, cols, "label")
+    m.fit(train, cols, "label", _mapper(train, cols))
     return m
 
 
@@ -68,21 +79,6 @@ def test_spark_backend_split_features(spark_model):
     assert {0, 1, 2} & feats
 
 
-def test_distributed_scoring_matches_driver(spark, spark_model, data):
-    pdf, cols = data
-    test = pdf.iloc[4000:4500]
-    sdf = spark.createDataFrame(test)
-    scored = spark_model.predict_proba_spark(sdf, cols).toPandas()
-    # distributed scoring must agree with driver-side scoring row-for-row
-    merged = scored.sort_values(cols[0]).reset_index(drop=True)
-    driver = test.copy()
-    driver["probability"] = spark_model.predict_proba(test[cols].to_numpy())[:, 1]
-    driver = driver.sort_values(cols[0]).reset_index(drop=True)
-    np.testing.assert_allclose(
-        merged["probability"].to_numpy(), driver["probability"].to_numpy(), atol=1e-12
-    )
-
-
 def test_fit_releases_its_broadcasts(spark, data, monkeypatch):
     """Every broadcast a fit creates (bin mapper, forest per tree, partial
     tree per level) is unpersisted before ``fit`` returns."""
@@ -90,6 +86,7 @@ def test_fit_releases_its_broadcasts(spark, data, monkeypatch):
 
     pdf, cols = data
     train = spark.createDataFrame(pdf.iloc[:1000])
+    mapper = _mapper(train, cols)
     sc = spark.sparkContext
     made, released = [], []
     broadcast, unpersist = sc.broadcast, Broadcast.unpersist
@@ -104,25 +101,7 @@ def test_fit_releases_its_broadcasts(spark, data, monkeypatch):
 
     monkeypatch.setattr(sc, "broadcast", record_broadcast)
     monkeypatch.setattr(Broadcast, "unpersist", record_unpersist)
-    SparkGBDTClassifier(n_estimators=2, max_depth=2).fit(train, cols, "label")
+    SparkGBDTClassifier(n_estimators=2, max_depth=2).fit(train, cols, "label", mapper)
     # 1 mapper + 2 forests + 2 trees × 2 levels
     assert len(made) == 7
     assert sorted(map(id, released)) == sorted(map(id, made))
-
-
-def test_scoring_makes_no_broadcast(spark, spark_model, data, monkeypatch):
-    """``predict_proba_spark`` returns a lazy frame, so it leaves nothing
-    to release: the forest travels in the scoring function's closure."""
-    pdf, cols = data
-    sc = spark.sparkContext
-    made = []
-    broadcast = sc.broadcast
-
-    def record_broadcast(value):
-        made.append(broadcast(value))
-        return made[-1]
-
-    monkeypatch.setattr(sc, "broadcast", record_broadcast)
-    scored = spark_model.predict_proba_spark(spark.createDataFrame(pdf.iloc[4000:4100]), cols)
-    assert len(scored.toPandas()) == 100
-    assert made == []
