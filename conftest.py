@@ -103,3 +103,23 @@ def spark_engine_paths(monkeypatch):
             yield path
 
     return paths()
+
+
+@pytest.fixture
+def spark_scan():
+    """``spark_scan(sdf, cols, edges)``: the Spark engine's fused IV+Pearson
+    scan of ``cols`` over ``sdf`` (label column ``label``), that is
+    ``ColumnStats.of_block`` of every batch merged by ``reduce_partitions``."""
+    import numpy as np
+
+    from repro.core.scan import ColumnStats
+    from repro.gbdt.spark_backend import reduce_partitions
+
+    def scan(sdf, cols, edges):
+        def block_fn(pdf):
+            X = pdf[cols].to_numpy(dtype=np.float64)
+            return ColumnStats.of_block(X, pdf["label"].to_numpy(), edges)
+
+        return reduce_partitions(sdf, block_fn, ColumnStats.merge, ColumnStats.empty(edges))
+
+    return scan

@@ -1,8 +1,9 @@
 """Table VIII — classification AUC on the business-scale datasets.
 
 The feature-engineering fit runs on the **distributed Spark engine**
-(SparkEngine + SparkGBDTClassifier: approxQuantile binning, mapInPandas
-histogram partials, distributed IV / Pearson / gain-ratio) — the setting
+(SparkEngine: approxQuantile binning, GBDTClassifier grown from
+per-partition histogram partials, distributed IV / Pearson / gain-ratio,
+each one ``reduce_partitions`` pass) — the setting
 that makes this the paper's scalability experiment. (At full scale every
 dataset is over ``engine.COLLECT_BUDGET_BYTES``; ``SafePipeline`` fits a
 run scaled small enough to fit it with the local engine on a driver-side

@@ -7,12 +7,12 @@ from .correlation import (
     remove_redundant,
 )
 from .engine import LocalEngine, SparkEngine
-from .gain_ratio import gain_ratios, gain_ratios_spark, top_combos
+from .gain_ratio import gain_ratios, top_combos
 from .iv import DEFAULT_ALPHA, DEFAULT_BETA, IV_BANDS, iv_scores
 from .operators import BINARY_OPERATORS, DEFAULT_BINARY_OPS, UNARY_OPERATORS, pair_specs
 from .pipeline import SafePipeline
 from .plan import FeaturePlan, FeatureSpec
-from .scan import ColumnStats, scan_spark
+from .scan import ColumnStats
 from .selection import select_features
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "LocalEngine",
     "SparkEngine",
     "gain_ratios",
-    "gain_ratios_spark",
     "top_combos",
     "IV_BANDS",
     "DEFAULT_ALPHA",
@@ -40,5 +39,4 @@ __all__ = [
     "FeatureSpec",
     "select_features",
     "ColumnStats",
-    "scan_spark",
 ]

@@ -7,9 +7,10 @@ feature iff |Pearson| ≤ θ against every feature already kept — i.e. the
 lower-IV member of each correlated pair is dropped (DESIGN.md §2).
 
 :func:`pearson_matrix` is the numpy path. The Spark engine slices its
-matrix from the centred co-moments that the fused IV+Pearson scan of
-:mod:`repro.core.scan` has already merged, so the Pearson step costs no
-Spark job of its own when it follows the IV step.
+matrix from the centred co-moments of :class:`repro.core.scan.ColumnStats`,
+the fused IV+Pearson block kernel whose per-partition partials the IV step
+has already merged, so the Pearson step costs no Spark job of its own when
+it follows the IV step.
 """
 from __future__ import annotations
 

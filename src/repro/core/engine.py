@@ -20,15 +20,19 @@ binned.
 
 ``SparkEngine`` holds a Spark DataFrame — the "industrial scale" setting
 of §V-B — and runs every statistic distributed, at one pass over the data
-per statistic: ``iv`` is one fused scan (:func:`repro.core.scan.scan_spark`)
-that also merges the Pearson moments, gain ratios merge per-partition
-contingencies, and :class:`SparkGBDTClassifier` aggregates histogram
-partials. Bin edges (IV and GBDT) come from one cache of
-``approxQuantile`` values, asked for on the IV grid and the GBDT grid at
-once, so each column's sketch is fetched once and the IV fetch and the
-ranking GBDT fetch only generated columns. A ``corr`` over columns ``iv``
-scanned reads no data, and ``add_generated`` only defines the new columns
-(cheap arithmetic), no job and no cache.
+per statistic. Each pass runs a block kernel on every partition and
+merges the partials on the driver, through one helper,
+:func:`repro.gbdt.spark_backend.reduce_partitions`: ``iv`` is one fused
+:class:`repro.core.scan.ColumnStats` scan that also merges the Pearson
+moments, gain ratios sum :func:`repro.core.gain_ratio.cell_counts` (the
+local engine's kernel too), and ``fit_gbdt`` grows a plain
+:class:`GBDTClassifier` whose histograms are summed the same way
+(:func:`repro.gbdt.spark_backend.fit_spark`). Bin edges (IV and GBDT)
+come from one cache of ``approxQuantile`` values, asked for on the IV
+grid and the GBDT grid at once, so each column's sketch is fetched once
+and the IV fetch and the ranking GBDT fetch only generated columns. A
+``corr`` over columns ``iv`` scanned reads no data, and ``add_generated``
+only defines the new columns (cheap arithmetic), no job and no cache.
 
 :meth:`repro.core.pipeline.SafePipeline._make_engine` chooses between
 them for a Spark input: a frame within :data:`COLLECT_BUDGET_BYTES` is
@@ -46,16 +50,17 @@ from ..gbdt import GBDTClassifier
 from ..gbdt.binning import BinMapper, bin_matrix
 from ..gbdt.spark_backend import (
     QUANTILE_REL_ERROR,
-    SparkGBDTClassifier,
+    fit_spark,
     mapper_from_quantiles,
     quantile_probs,
+    reduce_partitions,
 )
 from .combos import FeatureCombo
 from .correlation import pearson_matrix
-from .gain_ratio import gain_ratios, gain_ratios_spark
+from .gain_ratio import cell_counts, gain_ratios, gain_ratios_from_cell_counts, n_cells
 from .iv import DEFAULT_BETA, iv_scores
 from .plan import FeatureSpec
-from .scan import ColumnStats, scan_spark
+from .scan import ColumnStats
 
 __all__ = ["COLLECT_BUDGET_BYTES", "LocalEngine", "SparkEngine"]
 
@@ -159,7 +164,7 @@ class SparkEngine:
         # every probability asked for so far; the IV grid is asked for up
         # front, so the mining GBDT's fetch also serves IV's base columns
         self._probs: set[float] = set(quantile_probs(DEFAULT_BETA))
-        self._scanned: tuple[list[str], ColumnStats] = ([], ColumnStats.empty(0, 1))
+        self._scanned: tuple[list[str], ColumnStats] = ([], ColumnStats.empty([]))
 
     @property
     def feature_columns(self) -> list[str]:
@@ -182,18 +187,42 @@ class SparkEngine:
                 self._quantiles[c] = dict(zip(grid, values))
         return [[self._quantiles[c][p] for p in probs if p in self._quantiles[c]] for c in cols]
 
-    def fit_gbdt(self, cols: list[str], **params) -> SparkGBDTClassifier:
-        model = SparkGBDTClassifier(**params)
+    def fit_gbdt(self, cols: list[str], **params) -> GBDTClassifier:
+        model = GBDTClassifier(**params)
         mapper = mapper_from_quantiles(self.quantiles(cols, quantile_probs(model.n_bins)))
-        return model.fit(self.df, cols, self.label_col, mapper)
+        return fit_spark(model, self.df, cols, self.label_col, mapper)
+
+    def _reduce(self, cols: list[str], kernel, merge, zero):
+        """``kernel(X, y)`` of every block of ``cols`` (float64) and the
+        label, merged across the frame in one Spark job."""
+        label = self.label_col
+
+        def block(pdf):
+            return kernel(pdf[cols].to_numpy(dtype=np.float64), pdf[label].to_numpy())
+
+        return reduce_partitions(self.df.select(*cols, label), block, merge, zero)
 
     def gain_ratios(self, cols: list[str], combos: list[FeatureCombo]) -> list[float]:
-        return gain_ratios_spark(self.df, cols, self.label_col, combos)
+        counts = self._reduce(
+            cols,
+            lambda X, y: cell_counts(X, y, combos),
+            np.add,
+            np.zeros(2 * n_cells(combos), dtype=np.int64),
+        )
+        return gain_ratios_from_cell_counts(counts, combos)
+
+    def _scan(self, cols: list[str], edges: list[np.ndarray]) -> ColumnStats:
+        return self._reduce(
+            cols,
+            lambda X, y: ColumnStats.of_block(X, y, edges),
+            ColumnStats.merge,
+            ColumnStats.empty(edges),
+        )
 
     def iv(self, cols: list[str], beta: int = DEFAULT_BETA) -> dict[str, float]:
         """IV per column from one fused scan that also keeps the Pearson moments."""
         edges = [np.unique(q) for q in self.quantiles(cols, quantile_probs(beta))]
-        stats = scan_spark(self.df, cols, self.label_col, edges)
+        stats = self._scan(cols, edges)
         self._scanned = (list(cols), stats)
         return dict(zip(cols, stats.iv()))
 
@@ -203,7 +232,7 @@ class SparkEngine:
         scanned, stats = self._scanned
         if not set(cols) <= set(scanned):
             scanned = cols
-            stats = scan_spark(self.df, cols, self.label_col, [np.empty(0)] * len(cols))
+            stats = self._scan(cols, [np.empty(0)] * len(cols))
         at = {c: i for i, c in enumerate(scanned)}
         return stats.pearson([at[c] for c in cols])
 

@@ -5,21 +5,31 @@ A combination's split features and split values partition all records into
 the label, normalised by the partition's intrinsic value (split info) —
 C4.5's gain ratio, which is what "information gain ratio" denotes.
 
-Local path: vectorised numpy digitise + bincount per combination.
-Distributed path: one ``mapInPandas`` pass computes per-partition
-(cell, label) contingency partials for *all* combinations at once; the
-driver sums the collected partials and finishes the entropy arithmetic, so
-the cost is one Spark job regardless of the number of combinations.
+The statistic is one count kernel and one finish step, shared by both
+engines: :func:`cell_counts` bins a block of rows into every
+combination's cells at once (numpy digitise + bincount) and returns one
+flat ``[pos | neg]`` int64 array, which adds up exactly across blocks;
+:func:`gain_ratios_from_cell_counts` finishes the entropy arithmetic. The
+local engine counts its whole frame as one block; the Spark engine counts
+each partition and sums the partials on the driver
+(:func:`repro.gbdt.spark_backend.reduce_partitions`), one Spark job
+regardless of the number of combinations.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from .combos import FeatureCombo
 
-__all__ = ["gain_ratio_from_counts", "gain_ratios", "gain_ratios_spark", "top_combos"]
+__all__ = [
+    "cell_counts",
+    "gain_ratio_from_counts",
+    "gain_ratios",
+    "gain_ratios_from_cell_counts",
+    "n_cells",
+    "top_combos",
+]
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -58,14 +68,41 @@ def _cell_ids(mat: np.ndarray, combo: FeatureCombo) -> np.ndarray:
     return ids
 
 
-def _counts_for_combo(
-    mat: np.ndarray, y: np.ndarray, combo: FeatureCombo
-) -> tuple[np.ndarray, np.ndarray]:
-    ids = _cell_ids(mat, combo)
-    n_cells = combo.n_cells()
-    pos = np.bincount(ids[y], minlength=n_cells)
-    neg = np.bincount(ids[~y], minlength=n_cells)
-    return pos, neg
+def n_cells(combos: list[FeatureCombo]) -> int:
+    """Cells of all ``combos`` together: half the length of their counts."""
+    return sum(c.n_cells() for c in combos)
+
+
+def cell_counts(X: np.ndarray, y: np.ndarray, combos: list[FeatureCombo]) -> np.ndarray:
+    """Per-cell label counts of every combination over the rows of ``X``.
+
+    The count kernel of Algorithm 2: a flat int64 array, the positive
+    counts of every combination's cells in order, then the negative ones
+    in the same order. Counts of row blocks add up to the counts of their
+    union.
+    """
+    yb = np.asarray(y).astype(bool)
+    total = n_cells(combos)
+    out = np.empty(2 * total, dtype=np.int64)
+    at = 0
+    for combo in combos:
+        ids = _cell_ids(X, combo)
+        k = combo.n_cells()
+        out[at : at + k] = np.bincount(ids[yb], minlength=k)
+        out[total + at : total + at + k] = np.bincount(ids[~yb], minlength=k)
+        at += k
+    return out
+
+
+def gain_ratios_from_cell_counts(counts: np.ndarray, combos: list[FeatureCombo]) -> list[float]:
+    """Gain ratio per combination from :func:`cell_counts`' array."""
+    pos, neg = np.split(counts, 2)
+    out, at = [], 0
+    for combo in combos:
+        k = combo.n_cells()
+        out.append(gain_ratio_from_counts(pos[at : at + k], neg[at : at + k]))
+        at += k
+    return out
 
 
 def gain_ratios(
@@ -76,53 +113,7 @@ def gain_ratios(
     ``combo.features`` index columns of ``X`` positionally.
     """
     mat = X.to_numpy(dtype=np.float64) if isinstance(X, pd.DataFrame) else np.asarray(X, dtype=np.float64)
-    yb = np.asarray(y).astype(bool)
-    return [gain_ratio_from_counts(*_counts_for_combo(mat, yb, c)) for c in combos]
-
-
-def gain_ratios_spark(
-    df: DataFrame,
-    feature_cols: list[str],
-    label_col: str,
-    combos: list[FeatureCombo],
-) -> list[float]:
-    """Gain ratio per combination in one distributed scan.
-
-    Each partition emits a flattened (combo, cell, pos, neg) partial
-    contingency; the driver collects and sums the partials (no shuffle).
-    Cells are tiny (bounded by ``max_cells`` at mining time) so the
-    collected partials are O(#partitions · Σ cells).
-    """
-    cols = list(feature_cols) + [label_col]
-    n_cells = [c.n_cells() for c in combos]
-
-    def partial(iterator):
-        for pdf in iterator:
-            mat = pdf[feature_cols].to_numpy(dtype=np.float64)
-            yb = pdf[label_col].to_numpy().astype(bool)
-            rows = []
-            for ci, combo in enumerate(combos):
-                pos, neg = _counts_for_combo(mat, yb, combo)
-                nz = np.nonzero(pos + neg)[0]
-                for cell in nz:
-                    rows.append((ci, int(cell), int(pos[cell]), int(neg[cell])))
-            yield pd.DataFrame(rows, columns=["combo", "cell", "pos", "neg"])
-
-    partials = (
-        df.select(*cols)
-        .mapInPandas(partial, schema="combo long, cell long, pos long, neg long")
-        .toPandas()
-    )
-    out = []
-    for ci in range(len(combos)):
-        sub = partials[partials["combo"] == ci]
-        cell = sub["cell"].to_numpy(dtype=np.int64)
-        pos = np.zeros(n_cells[ci], dtype=np.int64)
-        neg = np.zeros(n_cells[ci], dtype=np.int64)
-        np.add.at(pos, cell, sub["pos"].to_numpy(dtype=np.int64))
-        np.add.at(neg, cell, sub["neg"].to_numpy(dtype=np.int64))
-        out.append(gain_ratio_from_counts(pos, neg))
-    return out
+    return gain_ratios_from_cell_counts(cell_counts(mat, y, combos), combos)
 
 
 def top_combos(

@@ -89,14 +89,15 @@ def iv_scores(
     """IV per feature (numpy engine). Returns {column: IV}."""
     if isinstance(X, pd.DataFrame):
         columns = columns or list(X.columns)
-        mat = X[columns].to_numpy(dtype=np.float64)
+        # one column at a time: all candidates at once copy the whole frame
+        values = (X[c].to_numpy(dtype=np.float64) for c in columns)
     else:
         mat = np.asarray(X, dtype=np.float64)
         columns = columns or [f"f{i}" for i in range(mat.shape[1])]
+        values = mat.T
     y = np.asarray(y).astype(bool)
     out: dict[str, float] = {}
-    for j, c in enumerate(columns):
-        x = mat[:, j]
+    for c, x in zip(columns, values):
         pos, total = sorted_bin_counts(np.sort(x), np.sort(x[y]), beta)
         out[c] = iv_from_counts(pos, total - pos)
     return out

@@ -19,22 +19,20 @@ blocks:
 
 The kernel is ``block → merge → finish``: :meth:`ColumnStats.of_block`
 summarises one block, :meth:`ColumnStats.merge` combines two summaries,
-and :meth:`ColumnStats.iv` / :meth:`ColumnStats.pearson` finish.
-:func:`scan_spark` runs ``of_block`` in one ``mapInPandas`` pass (one Spark
-job) and merges the per-partition partials on the driver.
+and :meth:`ColumnStats.iv` / :meth:`ColumnStats.pearson` finish. The
+Spark engine runs ``of_block`` on every partition in one Spark job and
+merges the partials on the driver
+(:func:`repro.gbdt.spark_backend.reduce_partitions`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 from .iv import iv_from_counts
 
-__all__ = ["ColumnStats", "scan_spark"]
+__all__ = ["ColumnStats"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,9 @@ class ColumnStats:
     count: np.ndarray  # (m, n_bins) int64 rows per bin
 
     @classmethod
-    def empty(cls, m: int, n_bins: int) -> "ColumnStats":
+    def empty(cls, edges: list[np.ndarray]) -> "ColumnStats":
+        """Summary of no rows on these bin edges: the identity of :meth:`merge`."""
+        m, n_bins = len(edges), _n_bins(edges)
         return cls(
             0,
             np.zeros(m),
@@ -71,7 +71,7 @@ class ColumnStats:
         n, m = X.shape
         n_bins = _n_bins(edges)
         if n == 0:
-            return cls.empty(m, n_bins)
+            return cls.empty(edges)
         codes = np.empty((n, m), dtype=np.int64)
         for j, e in enumerate(edges):
             codes[:, j] = np.searchsorted(e, X[:, j], side="left")
@@ -135,20 +135,6 @@ class ColumnStats:
         np.fill_diagonal(r, 1.0)
         return np.nan_to_num(r, nan=0.0)
 
-    # -- wire format of a Spark partial ------------------------------------
-    def to_bytes(self) -> tuple[bytes, bytes]:
-        floats = np.concatenate(
-            [[float(self.n)], self.mean, self.comoment.ravel(), self.lo, self.hi]
-        )
-        return floats.tobytes(), np.concatenate([self.pos.ravel(), self.count.ravel()]).tobytes()
-
-    @classmethod
-    def from_bytes(cls, m: int, n_bins: int, floats: bytes, ints: bytes) -> "ColumnStats":
-        f = np.frombuffer(floats, dtype=np.float64)
-        i = np.frombuffer(ints, dtype=np.int64).reshape(2, m, n_bins)
-        mean, co, lo, hi = np.split(f[1:], np.cumsum([m, m * m, m]))
-        return cls(int(f[0]), mean, co.reshape(m, m), lo, hi, i[0], i[1])
-
 
 def _shifts(edges: list[np.ndarray]) -> np.ndarray:
     """Each column's middle edge where it is finite, else 0."""
@@ -159,32 +145,3 @@ def _shifts(edges: list[np.ndarray]) -> np.ndarray:
 def _n_bins(edges: list[np.ndarray]) -> int:
     """Bins per column in a :class:`ColumnStats` over these edges."""
     return max((len(e) for e in edges), default=0) + 1
-
-
-def scan_spark(
-    df: DataFrame, cols: list[str], label_col: str, edges: list[np.ndarray]
-) -> ColumnStats:
-    """:class:`ColumnStats` of ``cols`` over ``df`` in one Spark job.
-
-    Each partition merges its Arrow batches into one partial and ships it
-    as two byte strings; the driver merges the partials.
-    """
-    m, n_bins = len(cols), _n_bins(edges)
-
-    def partial(batches):
-        acc = ColumnStats.empty(m, n_bins)
-        for pdf in batches:
-            block = ColumnStats.of_block(
-                pdf[cols].to_numpy(dtype=np.float64), pdf[label_col].to_numpy(), edges
-            )
-            acc = acc.merge(block)
-        floats, ints = acc.to_bytes()
-        yield pd.DataFrame({"floats": [floats], "ints": [ints]})
-
-    rows = (
-        df.select(*cols, label_col)
-        .mapInPandas(partial, schema="floats binary, ints binary")
-        .collect()
-    )
-    parts = (ColumnStats.from_bytes(m, n_bins, bytes(r.floats), bytes(r.ints)) for r in rows)
-    return reduce(ColumnStats.merge, parts, ColumnStats.empty(m, n_bins))

@@ -7,8 +7,11 @@ histogram GBDT: quantile binning, second-order gradients, level-wise
 growth, λ-regularised leaf weights, and per-feature average-gain
 importance — the exact algorithmic surface SAFE relies on.
 
-The numpy engine lives here; :mod:`repro.gbdt.spark_backend` plugs a
-distributed histogram callback into the same :func:`repro.gbdt.tree.grow_tree`.
+One boosting loop, :meth:`GBDTClassifier.fit_source`, serves both engines:
+it grows each tree with :func:`repro.gbdt.tree.grow_tree` from a histogram
+source. :meth:`GBDTClassifier.fit_binned` is the numpy source;
+:func:`repro.gbdt.spark_backend.fit_spark` is the distributed one, and
+returns the same class.
 """
 from __future__ import annotations
 
@@ -72,16 +75,18 @@ class GBDTClassifier:
 
         ``codes`` is the column-major int32 matrix :func:`bin_matrix`
         returns, so a caller that keeps codes per column (the local engine)
-        fits several models without binning a column twice.
+        fits several models without binning a column twice. This is the
+        local histogram source of :meth:`fit_source`: the margins take each
+        tree's predictions when the next tree asks for its histograms, so
+        the last tree is never predicted on the training rows.
         """
         y = np.asarray(y, dtype=np.float64)
-        self.n_features_ = codes.shape[1]
-        self.mapper_ = mapper
-        max_bins = mapper.max_bins
-        margin = np.full(len(y), self._base_margin(y), dtype=np.float64)
+        margin = np.full(len(y), self.base_margin(), dtype=np.float64)
         rng = np.random.default_rng(self.random_state)
-        self.trees_ = []
-        for _k in range(self.n_estimators):
+
+        def histograms(trees):
+            if trees:
+                margin[:] += trees[-1].predict_binned(codes)
             grad, hess = logistic_grad_hess(margin, y)
             if self.subsample < 1.0:
                 mask = rng.random(len(y)) < self.subsample
@@ -91,12 +96,29 @@ class GBDTClassifier:
             def hist_fn(tree, frontier):
                 slots = assign_slots(tree, frontier, codes)
                 return build_histograms(
-                    codes, grad, hess, slots, max(frontier) + 1, max_bins
+                    codes, grad, hess, slots, max(frontier) + 1, mapper.max_bins
                 )
 
+            return hist_fn
+
+        return self.fit_source(mapper, histograms)
+
+    def fit_source(self, mapper: BinMapper, histograms) -> "GBDTClassifier":
+        """Grow ``n_estimators`` trees on the bins of ``mapper``.
+
+        ``histograms(trees)`` returns the :func:`grow_tree` histogram
+        callback of the next tree, given the trees grown so far. It is the
+        only step of a fit that reads rows, so it is all a backend supplies:
+        :meth:`fit_binned` sums local arrays, and
+        :func:`repro.gbdt.spark_backend.fit_spark` sums partition partials.
+        """
+        self.n_features_ = mapper.n_features
+        self.mapper_ = mapper
+        self.trees_ = []
+        for _k in range(self.n_estimators):
             tree = grow_tree(
-                hist_fn,
-                self.mapper_,
+                histograms(self.trees_),
+                mapper,
                 max_depth=self.max_depth,
                 reg_lambda=self.reg_lambda,
                 gamma=self.gamma,
@@ -104,16 +126,16 @@ class GBDTClassifier:
                 learning_rate=self.learning_rate,
             )
             self.trees_.append(tree)
-            margin += tree.predict_binned(codes)
         return self
 
-    def _base_margin(self, y: np.ndarray | None = None) -> float:
+    def base_margin(self) -> float:
+        """The margin every row starts from: the log-odds of ``base_score``."""
         p = float(np.clip(self.base_score, 1e-6, 1 - 1e-6))
         return float(np.log(p / (1 - p)))
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        margin = np.full(len(X), self._base_margin(), dtype=np.float64)
+        margin = np.full(len(X), self.base_margin(), dtype=np.float64)
         for t in self.trees_:
             margin += t.predict(X)
         return margin

@@ -1,24 +1,33 @@
-"""Distributed GBDT training over a Spark DataFrame.
+"""Distributed statistics over a Spark DataFrame.
 
-Architecture (same as distributed XGBoost's histogram algorithm):
+:func:`reduce_partitions` is the one way a distributed statistic reads the
+data: a block kernel runs on every Arrow batch, each partition merges its
+batches' partials into one and ships it pickled, and the driver merges the
+partials. The fused IV+Pearson scan, the gain-ratio counts and the GBDT
+histograms are all such kernels, so the format of a Spark partial lives
+here and nowhere else.
 
-1. bin edges → a broadcast ``BinMapper``. ``fit`` takes the mapper from
-   its caller (``SparkEngine`` serves the edges from its quantile cache,
-   see :func:`mapper_from_quantiles`);
+:func:`fit_spark` is the distributed histogram source of
+:meth:`repro.gbdt.boosting.GBDTClassifier.fit_source` (distributed
+XGBoost's histogram algorithm):
+
+1. bin edges → a broadcast ``BinMapper``. The caller passes the mapper
+   (``SparkEngine`` serves the edges from its quantile cache, see
+   :func:`mapper_from_quantiles`);
 2. the binned frame (int bin codes + label) is a lazy ``mapInPandas`` over
    the input's own partitions, coalesced, never shuffled, to at most
    ``sparkContext.defaultParallelism`` of them, and cached. No job counts
    or materialises it: the root histogram pass fills the cache and later
    passes read it;
-3. each tree level is one ``mapInPandas`` scan: every partition recomputes
-   its rows' margins from the broadcast forest-so-far, derives gradients,
-   routes rows to frontier slots with the broadcast partial tree, and emits
-   its (slot, feature, bin) → (Σg, Σh) partial histogram; the tiny
-   partials are collected and summed on the driver (treeAggregate-style),
-   which then runs the exact same :func:`repro.gbdt.tree.grow_tree`
-   split logic as the numpy engine. Below the root the frontier holds only
-   the smaller-hessian child of each split (the driver derives the
-   sibling), so partials carry one slot per split instead of two.
+3. each tree level is one :func:`reduce_partitions` pass: every block
+   recomputes its rows' margins from the broadcast forest-so-far, derives
+   gradients, routes rows to frontier slots with the broadcast partial
+   tree, and sums one dense ``(2, slots, m, bins)`` gradient/hessian
+   histogram; the driver adds the partials and ``GBDTClassifier`` runs the
+   same :func:`repro.gbdt.tree.grow_tree` split logic as on the numpy
+   engine. Below the root the frontier holds only the smaller-hessian
+   child of each split (the driver derives the sibling), so partials
+   carry one slot per split instead of two.
 
 A fit of K trees of depth D therefore runs at most K·D histogram jobs.
 
@@ -27,21 +36,25 @@ lineage growth). That is not free: on one 25k×40 partition, re-predicting
 19 earlier trees took 151 ms per level against 16 ms for slot assignment
 plus histogram, so with many trees the re-prediction, not the scan,
 dominates each level's task time.
+
+The kernels shipped to executors are defined in this module and call
+``assign_slots``/``build_histograms`` through its own globals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import pickle
+from functools import reduce
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-
 from .binning import BinMapper
-from .boosting import GBDTClassifier, logistic_grad_hess, sigmoid
-from .tree import Tree, assign_slots, build_histograms, grow_tree
+from .boosting import GBDTClassifier, logistic_grad_hess
+from .tree import assign_slots, build_histograms
+from .tree import grow_tree  # noqa: F401  (patched by safebench's span tracer)
 
-__all__ = ["SparkGBDTClassifier", "mapper_from_quantiles", "quantile_probs"]
+__all__ = ["fit_spark", "mapper_from_quantiles", "quantile_probs", "reduce_partitions"]
 
 #: relative error of every ``approxQuantile`` call behind the Spark engine
 QUANTILE_REL_ERROR = 0.001
@@ -59,153 +72,98 @@ def mapper_from_quantiles(quantiles: list[list[float]]) -> BinMapper:
     )
 
 
-@dataclass
-class SparkGBDTClassifier:
-    """Same model/introspection surface as :class:`GBDTClassifier`,
-    trained distributed. ``predict_proba``/``paths``/``split_features``/
-    ``feature_importances`` behave identically (the fitted forest is plain
-    driver-side :class:`Tree` objects)."""
+def reduce_partitions(df: DataFrame, block_fn, merge, zero):
+    """``merge`` of ``block_fn(batch)`` over every Arrow batch of ``df``, in one Spark job.
 
-    n_estimators: int = 10
-    max_depth: int = 3
-    learning_rate: float = 0.3
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    min_child_weight: float = 1e-3
-    n_bins: int = 64
-    base_score: float = 0.5
+    Each partition folds its batches' partials into one, starting from
+    ``zero``, and ships it pickled in one binary row; the driver folds the
+    collected partials in partition order, starting from ``zero`` again.
+    ``merge`` must be associative with ``zero`` as its identity, so the
+    result does not depend on how the rows fall into partitions and
+    batches: exactly for counts, up to rounding for float sums.
+    """
 
-    trees_: list[Tree] = field(default_factory=list, repr=False)
-    mapper_: BinMapper | None = field(default=None, repr=False)
-    n_features_: int = 0
+    def partial(batches):
+        acc = zero
+        for pdf in batches:
+            acc = merge(acc, block_fn(pdf))
+        yield pd.DataFrame({"partial": [pickle.dumps(acc)]})
 
-    def fit(
-        self,
-        df: DataFrame,
-        feature_cols: list[str],
-        label_col: str,
-        mapper: BinMapper,
-    ) -> "SparkGBDTClassifier":
-        """Train on ``df`` with the bin edges of ``mapper``."""
-        self.n_features_ = len(feature_cols)
-        self.mapper_ = mapper
-        spark = df.sparkSession
-        mapper_bc = spark.sparkContext.broadcast(self.mapper_)
-        max_bins = self.mapper_.max_bins
-        m = len(feature_cols)
-        base_margin = self._base_margin()
+    rows = df.mapInPandas(partial, schema="partial binary").collect()
+    return reduce(merge, (pickle.loads(r.partial) for r in rows), zero)
 
-        def to_codes(iterator):
-            for pdf in iterator:
-                codes = mapper_bc.value.transform(
-                    pdf[feature_cols].to_numpy(dtype=np.float64)
-                )
-                out = pd.DataFrame(
-                    codes, columns=[f"c{i}" for i in range(m)]
-                ).astype("int32")
-                out["_y"] = pdf[label_col].to_numpy(dtype=np.float64)
-                yield out
 
-        code_cols = ", ".join(f"c{i} int" for i in range(m))
-        binned = (
-            df.select(*feature_cols, label_col)
-            .mapInPandas(to_codes, schema=f"{code_cols}, _y double")
-            .coalesce(spark.sparkContext.defaultParallelism)
-            .cache()
+def fit_spark(
+    model: GBDTClassifier,
+    df: DataFrame,
+    feature_cols: list[str],
+    label_col: str,
+    mapper: BinMapper,
+) -> GBDTClassifier:
+    """Fit ``model`` on ``df`` with the bin edges of ``mapper``."""
+    if model.subsample < 1.0:
+        raise ValueError(
+            f"subsample={model.subsample}: the distributed engine grows every "
+            "tree on all rows; use subsample=1.0"
         )
+    sc = df.sparkSession.sparkContext
+    m, max_bins = len(feature_cols), mapper.max_bins
+    code_cols = [f"c{i}" for i in range(m)]
+    base_margin = model.base_margin()
+    mapper_bc = sc.broadcast(mapper)
 
-        self.trees_ = []
-        try:
-            for _k in range(self.n_estimators):
-                trees_bc = spark.sparkContext.broadcast(self.trees_)
+    def to_codes(batches):
+        for pdf in batches:
+            codes = mapper_bc.value.transform(pdf[feature_cols].to_numpy(dtype=np.float64))
+            out = pd.DataFrame(codes, columns=code_cols).astype("int32")
+            out["_y"] = pdf[label_col].to_numpy(dtype=np.float64)
+            yield out
 
-                def hist_fn(tree, frontier, _trees_bc=trees_bc):
-                    n_slots = max(frontier) + 1
-                    tree_bc = spark.sparkContext.broadcast((tree, dict(frontier)))
+    binned = (
+        df.select(*feature_cols, label_col)
+        .mapInPandas(to_codes, schema=", ".join(f"{c} int" for c in code_cols) + ", _y double")
+        .coalesce(sc.defaultParallelism)
+        .cache()
+    )
+    forests = []
 
-                    def partial(iterator):
-                        ptree, pfrontier = tree_bc.value
-                        for pdf in iterator:
-                            codes = np.asfortranarray(
-                                pdf[[f"c{i}" for i in range(m)]].to_numpy(
-                                    dtype=np.int32
-                                )
-                            )
-                            y = pdf["_y"].to_numpy(dtype=np.float64)
-                            margin = np.full(len(y), base_margin)
-                            for t in _trees_bc.value:
-                                margin += t.predict_binned(codes)
-                            grad, hess = logistic_grad_hess(margin, y)
-                            slots = assign_slots(ptree, pfrontier, codes)
-                            gh, hh = build_histograms(
-                                codes, grad, hess, slots, n_slots, max_bins
-                            )
-                            s_i, f_i, b_i = np.nonzero((gh != 0) | (hh != 0))
-                            yield pd.DataFrame(
-                                {
-                                    "slot": s_i.astype(np.int32),
-                                    "feat": f_i.astype(np.int32),
-                                    "bin": b_i.astype(np.int32),
-                                    "g": gh[s_i, f_i, b_i],
-                                    "h": hh[s_i, f_i, b_i],
-                                }
-                            )
+    def histograms(trees):
+        if forests:  # the previous tree's histogram passes are done
+            forests.pop().unpersist(blocking=False)
+        forests.append(sc.broadcast(trees))
+        forest_bc = forests[-1]
 
-                    # per-partition partials are tiny (≤ slots·m·bins rows
-                    # each); summing them on the driver is the classic
-                    # treeAggregate endgame and avoids a shuffle per level
-                    try:
-                        agg = binned.mapInPandas(
-                            partial,
-                            schema="slot int, feat int, bin int, g double, h double",
-                        ).toPandas()
-                    finally:
-                        tree_bc.unpersist(blocking=False)
-                    gh = np.zeros((n_slots, m, max_bins))
-                    hh = np.zeros((n_slots, m, max_bins))
-                    s = agg["slot"].to_numpy()
-                    f = agg["feat"].to_numpy()
-                    b = agg["bin"].to_numpy()
-                    np.add.at(gh, (s, f, b), agg["g"].to_numpy())
-                    np.add.at(hh, (s, f, b), agg["h"].to_numpy())
-                    return gh, hh
+        def hist_fn(tree, frontier):
+            n_slots = max(frontier) + 1
+            tree_bc = sc.broadcast((tree, dict(frontier)))
 
-                try:
-                    tree = grow_tree(
-                        hist_fn,
-                        self.mapper_,
-                        max_depth=self.max_depth,
-                        reg_lambda=self.reg_lambda,
-                        gamma=self.gamma,
-                        min_child_weight=self.min_child_weight,
-                        learning_rate=self.learning_rate,
-                    )
-                finally:
-                    trees_bc.unpersist(blocking=False)
-                self.trees_.append(tree)
-        finally:
-            binned.unpersist()
-            # the mapper lives until the last pass: an evicted partition of
-            # the binned frame is recomputed from it
-            mapper_bc.unpersist(blocking=False)
-        return self
+            def block(pdf):
+                ptree, pfrontier = tree_bc.value
+                codes = np.asfortranarray(pdf[code_cols].to_numpy(dtype=np.int32))
+                y = pdf["_y"].to_numpy(dtype=np.float64)
+                margin = np.full(len(y), base_margin)
+                for t in forest_bc.value:
+                    margin += t.predict_binned(codes)
+                grad, hess = logistic_grad_hess(margin, y)
+                slots = assign_slots(ptree, pfrontier, codes)
+                return np.stack(build_histograms(codes, grad, hess, slots, n_slots, max_bins))
 
-    # -- prediction / introspection: identical surface to GBDTClassifier ----
-    def _base_margin(self) -> float:
-        p = float(np.clip(self.base_score, 1e-6, 1 - 1e-6))
-        return float(np.log(p / (1 - p)))
+            try:
+                gh_hh = reduce_partitions(
+                    binned, block, np.add, np.zeros((2, n_slots, m, max_bins))
+                )
+            finally:
+                tree_bc.unpersist(blocking=False)
+            return gh_hh[0], gh_hh[1]
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        margin = np.full(len(X), self._base_margin())
-        for t in self.trees_:
-            margin += t.predict(X)
-        return margin
+        return hist_fn
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = sigmoid(self.decision_function(X))
-        return np.column_stack([1.0 - p, p])
-
-    paths = GBDTClassifier.paths
-    split_features = GBDTClassifier.split_features
-    feature_importances = GBDTClassifier.feature_importances
+    try:
+        return model.fit_source(mapper, histograms)
+    finally:
+        for bc in forests:
+            bc.unpersist(blocking=False)
+        binned.unpersist()
+        # the mapper lives until the last pass: an evicted partition of
+        # the binned frame is recomputed from it
+        mapper_bc.unpersist(blocking=False)

@@ -4,10 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.core.combos import FeatureCombo
+from repro.core.engine import SparkEngine
 from repro.core.gain_ratio import (
     gain_ratio_from_counts,
     gain_ratios,
-    gain_ratios_spark,
     top_combos,
 )
 
@@ -109,5 +109,9 @@ def test_spark_matches_local(spark):
     ]
     local = gain_ratios(pdf[["a", "b", "c"]], pdf["label"].to_numpy(), combos)
     sdf = spark.createDataFrame(pdf)
-    dist = gain_ratios_spark(sdf, ["a", "b", "c"], "label", combos)
+    eng = SparkEngine(sdf, "label")
+    try:
+        dist = eng.gain_ratios(["a", "b", "c"], combos)
+    finally:
+        eng.close()
     np.testing.assert_allclose(dist, local, rtol=1e-9)

@@ -14,7 +14,6 @@ from repro.core.iv import (
 )
 from repro.core.engine import SparkEngine
 from repro.core.pipeline import SafePipeline
-from repro.core.scan import scan_spark
 from repro.oracle import assert_equivalent
 
 
@@ -131,7 +130,7 @@ def test_spark_iv_matches_local(spark):
     assert dist["s"] > dist["w"] > dist["z"]
 
 
-def test_spark_bin_counts_match_duckdb(spark):
+def test_spark_bin_counts_match_duckdb(spark, spark_scan):
     """The fused scan's per-bin counts on explicit edges vs DuckDB SQL with
     the same edges: the kernel's ``searchsorted(edges, x, 'left')`` is the
     ``x <= edge`` CASE chain, including values equal to an edge."""
@@ -141,7 +140,7 @@ def test_spark_bin_counts_match_duckdb(spark):
     on_edges = pd.DataFrame({"x": edges * 2, "label": [0, 1, 1, 1, 0, 0]})
     pdf = pd.concat([pdf, on_edges], ignore_index=True)
     sdf = spark.createDataFrame(pdf)
-    stats = scan_spark(sdf, ["x"], "label", [np.asarray(edges)])
+    stats = spark_scan(sdf, ["x"], [np.asarray(edges)])
     nz = stats.count[0] > 0
     got = spark.createDataFrame(
         pd.DataFrame(

@@ -141,6 +141,16 @@ def test_fit_job_budget(spark, planted, monkeypatch):
     assert 0 < jobs <= 11, jobs
 
 
+def test_distributed_fit_takes_every_gbdt_parameter(spark, planted, monkeypatch):
+    """The mining GBDT's ``random_state`` (which ``runner.fit_method`` always
+    passes) is a parameter of the one GBDT class on either engine."""
+    monkeypatch.setattr(engine, "COLLECT_BUDGET_BYTES", 0)
+    plan = SafePipeline(
+        mining_gbdt={**ONE_TREE, "random_state": 3}, ranking_gbdt=ONE_TREE
+    ).fit(spark.createDataFrame(planted.iloc[:3500]), "label", engine="spark")
+    assert plan.output_columns
+
+
 def test_collected_fit_job_budget(spark, planted):
     """Under the default budget the same fit runs 1 Spark job, the Arrow
     collect of the input: the local engine fits the rows on the driver."""

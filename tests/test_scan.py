@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.iv import iv_from_counts
-from repro.core.scan import ColumnStats, scan_spark
+from repro.core.scan import ColumnStats
 
 
 @pytest.fixture(scope="module")
@@ -95,16 +95,7 @@ def test_empty_summary_is_merge_identity(block):
     assert empty.merge(whole) is whole and whole.merge(empty) is whole
 
 
-def test_wire_format_round_trip(block):
-    X, y, edges = block
-    stats = ColumnStats.of_block(X, y, edges)
-    back = ColumnStats.from_bytes(4, stats.count.shape[1], *stats.to_bytes())
-    assert back.n == stats.n
-    for name in ("mean", "comoment", "lo", "hi", "pos", "count"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(stats, name))
-
-
-def test_scan_spark_equals_one_block(spark, block):
+def test_scan_spark_equals_one_block(spark, spark_scan, block):
     import pandas as pd
 
     X, y, edges = block
@@ -112,7 +103,7 @@ def test_scan_spark_equals_one_block(spark, block):
     pdf["label"] = y
     # hashing on the binary label fills at most two of six partitions
     sdf = spark.createDataFrame(pdf).repartition(6, "label")
-    got = scan_spark(sdf, ["a", "b", "c", "d"], "label", edges)
+    got = spark_scan(sdf, ["a", "b", "c", "d"], edges)
     want = ColumnStats.of_block(X, y, edges)
     assert got.n == want.n
     np.testing.assert_array_equal(got.pos, want.pos)

@@ -1,12 +1,13 @@
-"""Integration tests: distributed GBDT backend vs the numpy engine."""
+"""Integration tests: distributed GBDT histogram source vs the numpy engine."""
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.engine import LocalEngine, SparkEngine
 from repro.gbdt import GBDTClassifier
 from repro.gbdt.spark_backend import (
     QUANTILE_REL_ERROR,
-    SparkGBDTClassifier,
+    fit_spark,
     mapper_from_quantiles,
     quantile_probs,
 )
@@ -36,9 +37,8 @@ def _mapper(sdf, cols, n_bins=64):
 def spark_model(spark, data):
     pdf, cols = data
     train = spark.createDataFrame(pdf.iloc[:4000])
-    m = SparkGBDTClassifier(n_estimators=8, max_depth=3)
-    m.fit(train, cols, "label", _mapper(train, cols))
-    return m
+    model = GBDTClassifier(n_estimators=8, max_depth=3)
+    return fit_spark(model, train, cols, "label", _mapper(train, cols))
 
 
 def test_spark_backend_auc_close_to_local(spark_model, data):
@@ -101,7 +101,60 @@ def test_fit_releases_its_broadcasts(spark, data, monkeypatch):
 
     monkeypatch.setattr(sc, "broadcast", record_broadcast)
     monkeypatch.setattr(Broadcast, "unpersist", record_unpersist)
-    SparkGBDTClassifier(n_estimators=2, max_depth=2).fit(train, cols, "label", mapper)
+    fit_spark(GBDTClassifier(n_estimators=2, max_depth=2), train, cols, "label", mapper)
     # 1 mapper + 2 forests + 2 trees × 2 levels
     assert len(made) == 7
     assert sorted(map(id, released)) == sorted(map(id, made))
+
+
+def _nodes(model):
+    return [
+        [(n.feature, n.bin_threshold, n.threshold, n.gain, n.value) for n in t.nodes]
+        for t in model.trees_
+    ]
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_trees_match_local_fit_on_the_same_bins(spark, data, partitions):
+    """Given the mapper, the distributed source sums the same histograms as
+    ``fit_binned`` on the same rows: node for node equal on one partition
+    (one block, the same additions), and within rounding on several, where
+    the partials are added in another order."""
+    pdf, cols = data
+    sdf = spark.createDataFrame(pdf)
+    sdf = sdf.coalesce(1) if partitions == 1 else sdf.repartition(partitions)
+    mapper = _mapper(sdf, cols)
+    params = dict(n_estimators=5, max_depth=3)
+    dist = fit_spark(GBDTClassifier(**params), sdf, cols, "label", mapper)
+    codes = mapper.transform(pdf[cols].to_numpy())
+    local = GBDTClassifier(**params).fit_binned(codes, mapper, pdf["label"].to_numpy())
+    got, want = _nodes(dist), _nodes(local)
+    if partitions == 1:
+        assert got == want
+        return
+    assert [[n[:3] for n in t] for t in got] == [[n[:3] for n in t] for t in want]
+    np.testing.assert_allclose(
+        [n[3:] for t in got for n in t], [n[3:] for t in want for n in t], rtol=0, atol=1e-9
+    )
+
+
+def test_subsample_is_rejected(spark, data):
+    pdf, cols = data
+    train = spark.createDataFrame(pdf.iloc[:500])
+    with pytest.raises(ValueError, match="subsample"):
+        fit_spark(GBDTClassifier(subsample=0.5), train, cols, "label", _mapper(train, cols))
+
+
+def test_engines_share_default_hyper_parameters(spark):
+    """``fit_gbdt`` with no parameters grows the same number of trees on
+    either engine. Constant features allow no split, so each tree is one
+    root pass."""
+    pdf = pd.DataFrame({"a": np.ones(40), "b": np.zeros(40), "label": [0, 1] * 20})
+    local = LocalEngine(pdf, "label").fit_gbdt(["a", "b"])
+    eng = SparkEngine(spark.createDataFrame(pdf), "label")
+    try:
+        dist = eng.fit_gbdt(["a", "b"])
+    finally:
+        eng.close()
+    assert type(dist) is type(local)
+    assert len(dist.trees_) == len(local.trees_) == GBDTClassifier().n_estimators
