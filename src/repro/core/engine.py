@@ -10,13 +10,14 @@ data-touching primitives over its held training frame:
 * ``corr(cols)``                 — Algorithm 4 Pearson matrix
 * ``add_generated(specs)``       — add generated feature columns
 
-``LocalEngine`` holds a pandas frame and runs vectorised numpy — the
-paper's own benchmark setting (4-core machine). It sorts each column once
-per statistic: ``iv`` takes its bin counts from sorted values
-(:func:`repro.core.iv.iv_scores`), and ``fit_gbdt`` keeps every column's
-GBDT bin edges and codes (:func:`repro.gbdt.binning.bin_matrix`) for the
-engine's lifetime, so the ranking GBDT re-bins no column the mining GBDT
-binned.
+``LocalEngine`` holds its training columns as a dict of float64 arrays
+and runs vectorised numpy — the paper's own benchmark setting (4-core
+machine). ``add_generated`` inserts the new arrays, so no step copies the
+whole frame. It sorts each column once per statistic: ``iv`` takes its bin
+counts from sorted values (:func:`repro.core.iv.iv_scores`), and
+``fit_gbdt`` keeps every column's GBDT bin edges and codes
+(:func:`repro.gbdt.binning.bin_column`) for the engine's lifetime, so the
+ranking GBDT re-bins no column the mining GBDT binned.
 
 ``SparkEngine`` holds a Spark DataFrame — the "industrial scale" setting
 of §V-B — and runs every statistic distributed, at one pass over the data
@@ -36,7 +37,7 @@ only defines the new columns (cheap arithmetic), no job and no cache.
 
 :meth:`repro.core.pipeline.SafePipeline._make_engine` chooses between
 them for a Spark input: a frame within :data:`COLLECT_BUDGET_BYTES` is
-fitted by ``LocalEngine`` on a pandas copy, a larger one by
+collected and fitted by ``LocalEngine``, a larger one by
 ``SparkEngine``. Tests assert the engines agree. ``close()`` releases
 what an engine cached; the caller's frame keeps its storage level.
 """
@@ -46,8 +47,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from ..gbdt import GBDTClassifier
-from ..gbdt.binning import BinMapper, bin_matrix
+from ..gbdt import GBDTClassifier, binning
+from ..gbdt.binning import BinMapper
 from ..gbdt.spark_backend import (
     QUANTILE_REL_ERROR,
     fit_spark,
@@ -65,7 +66,7 @@ from .scan import ColumnStats
 __all__ = ["COLLECT_BUDGET_BYTES", "LocalEngine", "SparkEngine"]
 
 #: Largest optimizer size estimate (bytes) of a Spark training frame that
-#: ``SafePipeline`` fits with ``LocalEngine`` on a pandas copy; larger
+#: ``SafePipeline`` collects and fits with ``LocalEngine``; larger
 #: frames, and sources with no size estimate, get ``SparkEngine``.
 #: A bound on driver memory, not a speed crossover: the driver fit was
 #: 25-100x faster than the distributed fit at every size measured. Peak
@@ -73,70 +74,76 @@ __all__ = ["COLLECT_BUDGET_BYTES", "LocalEngine", "SparkEngine"]
 #: (local[1]), Python driver on the driver fit / on the distributed fit:
 #: magic (0.35 MB estimate) 17 / 32 MB, Data1 at scale 0.05 (1.2 MB)
 #: 40 / 34 MB, Data1 at scale 0.25 (6.2 MB) 81-93 MB (~15x the estimate)
-#: / 26 MB; the driver JVM added 11-95 MB / 320-900 MB. The bound is not
-#: enforced: with ``n_iterations > 1`` each iteration adds generated
-#: columns, and for a file source (Parquet, ORC) the estimate is bytes on
-#: disk, usually compressed, so the frame can be many times larger.
+#: / 26 MB; the driver JVM added 11-95 MB / 320-900 MB. The driver-fit
+#: figures were measured while ``LocalEngine`` held a pandas frame that
+#: ``add_generated`` rebuilt with ``pd.concat``; holding the columns as
+#: arrays lowered local-tall's peak from 260.5 to 235.5 MB (medians of 10
+#: runs), so they likely overstate today's. The bound is not enforced:
+#: with ``n_iterations > 1`` each iteration adds generated columns, and
+#: for a file source (Parquet, ORC) the estimate is bytes on disk,
+#: usually compressed, so the frame can be many times larger.
 COLLECT_BUDGET_BYTES = 8 << 20
 
 
 class LocalEngine:
-    """Pandas/numpy engine (single-node vectorised)."""
+    """Numpy engine (single-node vectorised) over a dict of float64 columns."""
 
     def __init__(self, pdf: pd.DataFrame, label_col: str):
-        self.pdf = pdf.copy()
         self.label_col = label_col
         self.y = pdf[label_col].to_numpy().astype(np.int64)
+        # feature name -> float64 values, in frame order, then generated
+        # columns in the order they were added; copied once here
+        self.columns: dict[str, np.ndarray] = {
+            c: pdf[c].to_numpy(dtype=np.float64, copy=True)
+            for c in pdf.columns
+            if c != label_col
+        }
         # (column, n_bins) -> (edges, codes) of every column a GBDT was fitted
-        # on; a column's values never change once it is in the frame
+        # on; a column's values never change once it is in the store
         self._bins: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def feature_columns(self) -> list[str]:
-        return [c for c in self.pdf.columns if c != self.label_col]
+        return list(self.columns)
+
+    def _matrix(self, cols: list[str]) -> np.ndarray:
+        """(n, len(cols)) float64 matrix of ``cols``, column-major (the
+        layout a pandas frame's ``to_numpy`` gives)."""
+        return np.stack([self.columns[c] for c in cols]).T
 
     def fit_gbdt(self, cols: list[str], **params) -> GBDTClassifier:
         """Fit on cached bin codes; only columns not binned before are sorted."""
         model = GBDTClassifier(**params)
         n_bins = model.n_bins
-        missing = [c for c in cols if (c, n_bins) not in self._bins]
-        if missing:
-            binned, block = bin_matrix(self.pdf[missing].to_numpy(dtype=np.float64), n_bins)
-            # kept in the narrowest type that holds a code (< n_bins), one
-            # block per call: int32 codes kept through the fit raised the
-            # local-tall peak RSS by 6-13%, the narrow block by nothing
-            kept = block.astype(np.min_scalar_type(n_bins), order="F")
-            for j, c in enumerate(missing):
-                self._bins[c, n_bins] = (binned.edges[j], kept[:, j])
-        codes = np.empty((len(self.y), len(cols)), dtype=np.int32, order="F")
+        # codes are kept in the narrowest type that holds one (< n_bins):
+        # int32 codes kept through the fit raised the local-tall peak RSS
+        # by 6-13%, narrow ones by nothing
+        narrow = np.min_scalar_type(n_bins)
+        for c in cols:
+            if (c, n_bins) not in self._bins:
+                edges, codes = binning.bin_column(self.columns[c], n_bins)
+                self._bins[c, n_bins] = (edges, codes.astype(narrow))
+        # intp, the index type np.bincount counts: fit_binned takes it as is
+        codes = np.empty((len(self.y), len(cols)), dtype=np.intp, order="F")
         for j, c in enumerate(cols):
             codes[:, j] = self._bins[c, n_bins][1]
         mapper = BinMapper(edges=tuple(self._bins[c, n_bins][0] for c in cols))
         return model.fit_binned(codes, mapper, self.y)
 
     def gain_ratios(self, cols: list[str], combos: list[FeatureCombo]) -> list[float]:
-        return gain_ratios(self.pdf[cols], self.y, combos)
+        return gain_ratios(self._matrix(cols), self.y, combos)
 
-    def iv(self, cols: list[str], beta: int = 10) -> dict[str, float]:
-        return iv_scores(self.pdf, self.y, beta=beta, columns=cols)
+    def iv(self, cols: list[str], beta: int = DEFAULT_BETA) -> dict[str, float]:
+        return iv_scores(self.columns, self.y, beta=beta, columns=cols)
 
     def corr(self, cols: list[str]) -> np.ndarray:
-        return pearson_matrix(self.pdf[cols])
+        return pearson_matrix(self._matrix(cols))
 
     def add_generated(self, specs: list[FeatureSpec]) -> None:
-        new_cols = {}
+        """Insert each new column's values; a spec may read one added before it."""
         for s in specs:
-            if s.name in self.pdf.columns:
-                continue
-            args = []
-            for i in s.inputs:
-                src = new_cols[i] if i in new_cols else self.pdf[i].to_numpy(dtype=np.float64)
-                args.append(src)
-            new_cols[s.name] = s.operator.np_fn(*args)
-        if new_cols:
-            self.pdf = pd.concat(
-                [self.pdf, pd.DataFrame(new_cols, index=self.pdf.index)], axis=1
-            )
+            if s.name not in self.columns:
+                self.columns[s.name] = s.operator.np_fn(*(self.columns[i] for i in s.inputs))
 
     def close(self) -> None:
         """Drop the cached GBDT bins."""

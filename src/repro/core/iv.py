@@ -11,11 +11,13 @@ and sign-asymmetric, so we implement the canonical WOE-weighted form above
 (documented substitution, DESIGN.md §2). Empty-class bins are Laplace
 smoothed with 0.5 so WOE stays finite.
 
-This module holds the numpy path (exact ``np.quantile`` edges). It sorts
-each column once, and its positive rows once: the edges are quantiles of
-the sorted column's finite values, and each bin's total and positive
-counts are differences of ``searchsorted`` positions of the edges in the
-two sorted arrays, so no row is binned one by one. The counts equal a
+This module holds the numpy path (exact quantile edges). It sorts each
+column once, and its positive rows once: the edges are quantiles of the
+sorted column's finite values, read straight from it
+(:func:`repro.gbdt.binning.sorted_quantiles`, equal to ``numpy.quantile``),
+and each bin's total and positive counts are differences of
+``searchsorted`` positions of the edges in the two sorted arrays, so no row
+is binned one by one. The counts equal a
 ``bincount`` of :func:`equal_freq_bin`'s codes. NaN and ±inf take no part
 in the edges: -inf falls in the first bin, +inf and NaN in the last. The
 distributed Spark engine takes its edges from ``approxQuantile`` (which
@@ -25,10 +27,12 @@ of :mod:`repro.core.scan`, then finishes with the same
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 import pandas as pd
 
-from ..gbdt.binning import finite_slice
+from ..gbdt.binning import finite_slice, sorted_quantiles
 
 __all__ = ["IV_BANDS", "iv_from_counts", "iv_scores", "equal_freq_bin", "sorted_bin_counts"]
 
@@ -77,20 +81,24 @@ def _edges(xs: np.ndarray, beta: int) -> np.ndarray:
     finite = finite_slice(xs)
     if finite.size == 0:
         return np.empty(0, dtype=np.float64)
-    return np.unique(np.quantile(finite, np.linspace(0, 1, beta + 1)[1:-1]))
+    return np.unique(sorted_quantiles(finite, np.linspace(0, 1, beta + 1)[1:-1]))
 
 
 def iv_scores(
-    X: pd.DataFrame | np.ndarray,
+    X: Mapping[str, np.ndarray] | pd.DataFrame | np.ndarray,
     y: np.ndarray,
     beta: int = DEFAULT_BETA,
     columns: list[str] | None = None,
 ) -> dict[str, float]:
-    """IV per feature (numpy engine). Returns {column: IV}."""
-    if isinstance(X, pd.DataFrame):
-        columns = columns or list(X.columns)
+    """IV per feature (numpy engine). Returns {column: IV}.
+
+    ``X`` is a mapping of column name to values (a dict of arrays or a
+    pandas frame), or a matrix whose columns are named ``f0, f1, ...``.
+    """
+    if isinstance(X, (Mapping, pd.DataFrame)):
+        columns = columns or list(X)
         # one column at a time: all candidates at once copy the whole frame
-        values = (X[c].to_numpy(dtype=np.float64) for c in columns)
+        values = (np.asarray(X[c], dtype=np.float64) for c in columns)
     else:
         mat = np.asarray(X, dtype=np.float64)
         columns = columns or [f"f{i}" for i in range(mat.shape[1])]

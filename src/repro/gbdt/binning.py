@@ -8,8 +8,9 @@ the small integer bin codes that both the local (numpy) and distributed
 
 Locally, each column is sorted once: :func:`bin_column` argsorts it, takes
 its edges from the sorted values (unique values from adjacent differences,
-``np.quantile`` of the sorted finite slice) and fills its codes from the
-sorted order, so no row is binary-searched into the edges.
+quantiles read straight from the sorted finite slice by
+:func:`sorted_quantiles`) and fills its codes from the sorted order, so no
+row is binary-searched into the edges.
 :func:`bin_matrix` does that for every column of a matrix; its codes equal
 :meth:`BinMapper.transform`'s on the same edges, which is how the Spark
 backend bins partitions against edges from ``approxQuantile``.
@@ -17,10 +18,11 @@ backend bins partitions against edges from ``approxQuantile``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-__all__ = ["BinMapper", "bin_column", "bin_matrix", "finite_slice"]
+__all__ = ["BinMapper", "bin_column", "bin_matrix", "finite_slice", "sorted_quantiles"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,17 @@ class BinMapper:
     def max_bins(self) -> int:
         return max((len(e) for e in self.edges), default=0) + 1
 
+    @cached_property
+    def n_edges(self) -> np.ndarray:
+        """Number of edges of each feature."""
+        return np.array([len(e) for e in self.edges], dtype=np.int64)
+
+    @cached_property
+    def legal_splits(self) -> np.ndarray:
+        """(n_features, max_bins - 1) mask: a split at bin ``b`` of feature
+        ``f`` is legal iff ``f`` has edge ``b``."""
+        return np.arange(self.max_bins - 1) < self.n_edges[:, None]
+
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Map float matrix (n, m) to int32 bin codes (n, m), column-major.
 
@@ -69,6 +82,33 @@ def finite_slice(sorted_col: np.ndarray) -> np.ndarray:
     return sorted_col[lo:hi]
 
 
+def sorted_quantiles(col: np.ndarray, probs) -> np.ndarray:
+    """``numpy.quantile(col, probs)`` (method ``linear``) of an ascending,
+    NaN-free, non-empty column, without re-partitioning it.
+
+    The same arithmetic as numpy's: virtual index ``(n-1)·q`` between the
+    values at its floor and the next index (both the last value at or past
+    the end, with the weight numpy gives there), interpolated as
+    ``a + (b-a)·t``, or ``b - (b-a)·(1-t)`` where ``t >= 0.5``. So every
+    value equals numpy's bit for bit, except that a zero quantile of a
+    column holding both -0.0 and 0.0 may carry the other sign: numpy takes
+    it from whichever tied zero its partition leaves at that index.
+    """
+    n = len(col)
+    virtual = (n - 1) * np.asarray(probs, dtype=np.float64)
+    prev = np.floor(virtual)
+    prev[virtual >= n - 1] = -1
+    lo = prev.astype(np.intp)
+    hi = np.where(lo < 0, lo, lo + 1)
+    t = virtual - prev
+    a, b = col[lo], col[hi]
+    diff = b - a
+    out = a + diff * t
+    upper = t >= 0.5
+    out[upper] = (b - diff * (1 - t))[upper]
+    return out
+
+
 def _feature_edges(sorted_col: np.ndarray, n_bins: int) -> np.ndarray:
     """Quantile candidate thresholds for one feature, from its sorted values.
 
@@ -87,8 +127,7 @@ def _feature_edges(sorted_col: np.ndarray, n_bins: int) -> np.ndarray:
         return np.empty(0, dtype=np.float64)
     if len(uniq) <= n_bins:
         return ((uniq[:-1] + uniq[1:]) / 2.0).astype(np.float64)
-    qs = np.quantile(col, np.linspace(0, 1, n_bins + 1)[1:-1])
-    qs = np.unique(qs)
+    qs = np.unique(sorted_quantiles(col, np.linspace(0, 1, n_bins + 1)[1:-1]))
     # Nudge each quantile to the midpoint between it and the next distinct
     # data value so thresholds fall strictly between observations.
     idx = np.searchsorted(uniq, qs, side="right")

@@ -73,20 +73,32 @@ class GBDTClassifier:
     def fit_binned(self, codes: np.ndarray, mapper: BinMapper, y: np.ndarray) -> "GBDTClassifier":
         """Fit on bin codes already computed with ``mapper``.
 
-        ``codes`` is the column-major int32 matrix :func:`bin_matrix`
+        ``codes`` is a column-major integer matrix such as :func:`bin_matrix`
         returns, so a caller that keeps codes per column (the local engine)
-        fits several models without binning a column twice. This is the
-        local histogram source of :meth:`fit_source`: the margins take each
-        tree's predictions when the next tree asks for its histograms, so
-        the last tree is never predicted on the training rows.
+        fits several models without binning a column twice. It is widened
+        to ``intp`` once (no copy if it is already): ``np.bincount`` counts
+        ``intp`` indices and would otherwise convert a column on every
+        call.
+
+        This is the local histogram source of :meth:`fit_source`. It keeps
+        each row's node in the tree being grown: every histogram pass moves
+        the rows one level down (:func:`assign_slots`), and when the next
+        tree asks for its histograms one last step puts them in the
+        finished tree's leaves, whose values the margins take. So no row is
+        routed from the root, and the last tree is never predicted on the
+        training rows.
         """
+        codes = np.asarray(codes, dtype=np.intp, order="F")
         y = np.asarray(y, dtype=np.float64)
         margin = np.full(len(y), self.base_margin(), dtype=np.float64)
+        node = np.zeros(len(y), dtype=np.intp)
         rng = np.random.default_rng(self.random_state)
 
         def histograms(trees):
             if trees:
-                margin[:] += trees[-1].predict_binned(codes)
+                trees[-1].advance(node, codes)
+                margin[:] += trees[-1].leaf_values()[node]
+                node[:] = 0
             grad, hess = logistic_grad_hess(margin, y)
             if self.subsample < 1.0:
                 mask = rng.random(len(y)) < self.subsample
@@ -94,7 +106,7 @@ class GBDTClassifier:
                 hess = np.where(mask, hess, 0.0)
 
             def hist_fn(tree, frontier):
-                slots = assign_slots(tree, frontier, codes)
+                slots = assign_slots(tree, frontier, codes, node)
                 return build_histograms(
                     codes, grad, hess, slots, max(frontier) + 1, mapper.max_bins
                 )

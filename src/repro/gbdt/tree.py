@@ -16,7 +16,9 @@ child, so a level scans the lighter half of each split's rows.
 
 Rows are routed by :meth:`Tree._route`, which moves every row down one level
 per step with fancy-indexed per-node arrays; prediction, binned prediction
-and frontier-slot assignment all use it.
+and frontier-slot assignment all use it. A grower that keeps each row's
+node between levels (the numpy source) moves it one level per call with
+:meth:`Tree.advance` instead of routing it from the root again.
 """
 from __future__ import annotations
 
@@ -48,14 +50,11 @@ class Tree:
 
     nodes: list[TreeNode] = field(default_factory=list)
 
-    def _route(self, X: np.ndarray, *, binned: bool) -> np.ndarray:
-        """Index of the leaf each row of ``X`` reaches.
+    def _arrays(self, *, binned: bool):
+        """Per-node (feature, threshold, left, right) arrays, and the depth.
 
-        Every row moves down one level per step by fancy-indexing per-node
-        arrays (feature, threshold, left, right). Leaves route to themselves,
-        so all rows take the same number of steps, the depth of the tree.
-        ``binned`` compares bin codes with ``bin_threshold`` instead of
-        values with ``threshold``.
+        Leaves route to themselves. ``binned`` takes ``bin_threshold``
+        instead of ``threshold``.
         """
         k = len(self.nodes)
         feature = np.zeros(k, dtype=np.intp)
@@ -75,24 +74,45 @@ class Tree:
                 nxt += [nd.left, nd.right]
             depth += bool(nxt)
             level = nxt
+        return (feature, thr, left, right), depth
+
+    def _route(self, X: np.ndarray, *, binned: bool) -> np.ndarray:
+        """Index of the leaf each row of ``X`` reaches.
+
+        Every row moves down one level per step by fancy-indexing the
+        per-node arrays. Leaves route to themselves, so all rows take the
+        same number of steps, the depth of the tree. ``binned`` compares bin
+        codes with ``bin_threshold`` instead of values with ``threshold``.
+        """
+        arrays, depth = self._arrays(binned=binned)
         node = np.zeros(len(X), dtype=np.intp)
-        rows = np.arange(len(X))
         for _ in range(depth):
-            go_left = X[rows, feature[node]] <= thr[node]
-            node = np.where(go_left, left[node], right[node])
+            node = _step(X, node, *arrays)
         return node
 
-    def _values(self) -> np.ndarray:
+    def advance(self, node: np.ndarray, codes: np.ndarray) -> None:
+        """Move each row one level down on bin codes, in place.
+
+        ``node[i]`` is the node row ``i`` sits in; rows in leaves stay. The
+        comparisons are :meth:`predict_binned`'s, so advancing rows from the
+        root once per level of the tree lands them in its leaves.
+        """
+        arrays, depth = self._arrays(binned=True)
+        if depth:
+            node[:] = _step(codes, node, *arrays)
+
+    def leaf_values(self) -> np.ndarray:
+        """``value`` of every node, by node index."""
         return np.array([nd.value for nd in self.nodes], dtype=np.float64)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf values for a float matrix (n, m)."""
         X = np.asarray(X, dtype=np.float64)
-        return self._values()[self._route(X, binned=False)]
+        return self.leaf_values()[self._route(X, binned=False)]
 
     def predict_binned(self, codes: np.ndarray) -> np.ndarray:
-        """Leaf values for an int bin-code matrix (training-time fast path)."""
-        return self._values()[self._route(codes, binned=True)]
+        """Leaf values for an int bin-code matrix."""
+        return self.leaf_values()[self._route(codes, binned=True)]
 
     def paths(self) -> list[list[tuple[int, float]]]:
         """All root→leaf-parent paths as [(feature, threshold), ...].
@@ -133,20 +153,36 @@ class Tree:
         return acc
 
 
+def _step(X, node, feature, thr, left, right) -> np.ndarray:
+    """Each row's node one level below ``node`` (see :meth:`Tree._arrays`)."""
+    go_left = X[np.arange(len(node)), feature[node]] <= thr[node]
+    return np.where(go_left, left[node], right[node])
+
+
 def assign_slots(
-    tree: Tree, frontier: dict[int, int], codes: np.ndarray
+    tree: Tree,
+    frontier: dict[int, int],
+    codes: np.ndarray,
+    node: np.ndarray | None = None,
 ) -> np.ndarray:
     """Map each row to its frontier slot (or -1 if it sits in a finished leaf).
 
     ``frontier`` maps slot → node index; its nodes are leaves of the partial
     tree. Rows are routed down the partial tree on *bin codes*; a row whose
     leaf is not in ``frontier`` gets -1. Used by both histogram backends so
-    workers need only the broadcast partial tree.
+    workers need only the broadcast partial tree. A caller that keeps each
+    row's node from the previous level (the root for the first call) passes
+    it as ``node``: it is advanced one level in place instead of routing
+    every row from the root. Executors hold no state between passes and
+    route from the root.
     """
     slot_of_node = np.full(len(tree.nodes), -1, dtype=np.int64)
     for slot, nid in frontier.items():
         slot_of_node[nid] = slot
-    return slot_of_node[tree._route(codes, binned=True)]
+    if node is None:
+        return slot_of_node[tree._route(codes, binned=True)]
+    tree.advance(node, codes)
+    return slot_of_node[node]
 
 
 def build_histograms(
@@ -164,21 +200,25 @@ def build_histograms(
     backend computes it per partition and sums the partials. Each feature
     column is read at the active rows only, which is a strided copy unless
     ``codes`` is column-major (as :meth:`BinMapper.transform` returns it).
+    When every row is in the one slot (a tree's root), each code column is
+    its own bin index and is counted as it is, with no gather: the same
+    sums in the same row order.
     """
-    _n, m = codes.shape
+    n, m = codes.shape
     gh = np.empty((n_slots, m, max_bins), dtype=np.float64)
     hh = np.empty((n_slots, m, max_bins), dtype=np.float64)
     rows = np.flatnonzero(slot_of_row >= 0)
-    base = slot_of_row[rows] * max_bins
-    grad_a = grad[rows]
-    hess_a = hess[rows]
+    root = n_slots == 1 and len(rows) == n
+    if not root:
+        base = slot_of_row[rows] * max_bins
+        grad, hess = grad[rows], hess[rows]
     size = n_slots * max_bins
     for f in range(m):
-        flat = base + codes[:, f].take(rows)
-        gh[:, f, :] = np.bincount(flat, weights=grad_a, minlength=size).reshape(
+        flat = codes[:, f] if root else base + codes[:, f].take(rows)
+        gh[:, f, :] = np.bincount(flat, weights=grad, minlength=size).reshape(
             n_slots, max_bins
         )
-        hh[:, f, :] = np.bincount(flat, weights=hess_a, minlength=size).reshape(
+        hh[:, f, :] = np.bincount(flat, weights=hess, minlength=size).reshape(
             n_slots, max_bins
         )
     return gh, hh
@@ -205,14 +245,12 @@ def _best_split(
             * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent)
             - gamma
         )
-    # a split at bin b is only legal if feature f actually has edge b
-    legal = np.zeros_like(gain, dtype=bool)
-    for f in range(gain.shape[0]):
-        legal[f, : len(mapper.edges[f])] = True
     gain = np.where(
-        legal & (hl >= min_child_weight) & (hr >= min_child_weight), gain, -np.inf
+        mapper.legal_splits & (hl >= min_child_weight) & (hr >= min_child_weight),
+        gain,
+        -np.inf,
     )
-    if gain.size == 0 or not np.isfinite(gain).any() or np.all(gain == -np.inf):
+    if not np.isfinite(gain).any():
         return (-np.inf, -1, -1, 0.0, 0.0, G, H)
     f, b = np.unravel_index(np.argmax(gain), gain.shape)
     return (

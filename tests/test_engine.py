@@ -37,8 +37,9 @@ def test_local_add_generated_and_chain(pdf):
     s1 = FeatureSpec("mul", ("a", "b"))
     s2 = FeatureSpec("add", (s1.name, "c"))  # depends on s1 within same batch
     eng.add_generated([s1, s2])
-    np.testing.assert_allclose(eng.pdf[s1.name], pdf["a"] * pdf["b"])
-    np.testing.assert_allclose(eng.pdf[s2.name], pdf["a"] * pdf["b"] + pdf["c"])
+    assert list(eng.columns) == ["a", "b", "c", s1.name, s2.name]
+    assert np.array_equal(eng.columns[s1.name], pdf["a"] * pdf["b"])
+    assert np.array_equal(eng.columns[s2.name], pdf["a"] * pdf["b"] + pdf["c"])
 
 
 def test_local_add_generated_idempotent(pdf):
@@ -46,7 +47,7 @@ def test_local_add_generated_idempotent(pdf):
     s1 = FeatureSpec("mul", ("a", "b"))
     eng.add_generated([s1])
     eng.add_generated([s1])  # second call is a no-op
-    assert list(eng.pdf.columns).count(s1.name) == 1
+    assert list(eng.columns) == ["a", "b", "c", s1.name]
 
 
 def test_local_gbdt_trains_on_subset(pdf):
@@ -125,6 +126,34 @@ def test_local_iv_and_corr_consistency(pdf):
     assert corr[0, 1] == pytest.approx(np.corrcoef(pdf["a"], pdf["c"])[0, 1])
 
 
+def test_local_corr_matches_golden():
+    """SHA-256 of the Pearson matrix over a seeded Data1 frame with
+    generated columns, recorded when the engine held a pandas frame and
+    passed ``frame[cols].to_numpy()`` to ``np.corrcoef``. Assembling the
+    matrix from the column store must not move a bit: a last-bit change
+    can flip a pair near theta = 0.8."""
+    import hashlib
+    from dataclasses import replace
+
+    from repro.core.operators import pair_specs
+    from repro.experiments.datasets import BUSINESS_DATASETS, make_dataset
+
+    spec = {s.name: s for s in BUSINESS_DATASETS}["Data1"]
+    train, _valid, _test = make_dataset(replace(spec, n_train=3000, n_valid=0, n_test=200))
+    eng = LocalEngine(train, "label")
+    base = eng.feature_columns
+    eng.add_generated([
+        FeatureSpec(op, inputs)
+        for a, b in [(base[0], base[1]), (base[2], base[3]), (base[1], base[5])]
+        for op, inputs in pair_specs(a, b, ("add", "sub", "mul", "div"))
+    ])
+    cols = eng.feature_columns
+    assert len(cols) == 58
+    digest = lambda m: hashlib.sha256(m.tobytes()).hexdigest()  # noqa: E731
+    assert digest(eng.corr(cols)) == "283cec9bd93168f64b92f94ce2f47ee3ee05aec429ae2ab93739b6111018697b"
+    assert digest(eng.corr(cols[::-1][:30])) == "c5491ed666d6e2a840f1193520022d5bdca76bec36f53fc116980a972b0f1b52"
+
+
 def test_local_gain_ratios_positional_indexing(pdf):
     eng = LocalEngine(pdf, "label")
     combo = FeatureCombo((0,), ((0.5,),))  # index 0 of the cols list below
@@ -183,7 +212,10 @@ def test_spark_choosing_a_path_runs_no_job(spark, pdf, monkeypatch):
     sdf = spark.createDataFrame(pdf)
     small = SafePipeline._make_engine(sdf, "label", sdf, "auto")
     assert isinstance(small, LocalEngine)
-    pd.testing.assert_frame_equal(small.pdf, pd.concat([pdf, pdf], ignore_index=True))
+    want = pd.concat([pdf, pdf], ignore_index=True)
+    assert list(small.columns) == ["a", "b", "c"]
+    assert all(np.array_equal(small.columns[c], want[c]) for c in small.columns)
+    assert np.array_equal(small.y, want["label"])
     sc = spark.sparkContext
     group = "safe-choose-path"
     sc.setJobGroup(group, group)
