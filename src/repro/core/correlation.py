@@ -6,21 +6,20 @@ implement) is: order candidates by IV descending and greedily keep a
 feature iff |Pearson| ≤ θ against every feature already kept — i.e. the
 lower-IV member of each correlated pair is dropped (DESIGN.md §2).
 
-:func:`pearson_matrix` is the numpy path. The Spark engine slices its
-matrix from the centred co-moments of :class:`repro.core.scan.ColumnStats`,
-the fused IV+Pearson block kernel whose per-partition partials the IV step
-has already merged, so the Pearson step costs no Spark job of its own when
-it follows the IV step.
+The Pearson matrix has one kernel on both engines,
+:class:`repro.core.scan.ColumnStats`, finished in ``numpy.corrcoef``'s
+order (co-moments times 1/(n − 1), divided by the row, then the column
+standard deviations, clipped to [−1, 1]); a constant column, or one
+holding NaN or ±inf, correlates 0 with every other. The Spark engine
+slices it from the IV step's fused scan, at no Spark job of its own.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 __all__ = [
     "PEARSON_BANDS",
     "DEFAULT_THETA",
-    "pearson_matrix",
     "remove_redundant",
 ]
 
@@ -43,21 +42,6 @@ def correlation_band(r: float) -> str:
         if lo <= r < hi:
             return name
     return PEARSON_BANDS[-1][2]
-
-
-def pearson_matrix(X: pd.DataFrame | np.ndarray) -> np.ndarray:
-    """Full Pearson matrix; zero-variance columns correlate 0 with all."""
-    mat = X.to_numpy(dtype=np.float64) if isinstance(X, pd.DataFrame) else np.asarray(X, dtype=np.float64)
-    sd = mat.std(axis=0)
-    ok = sd > 0
-    out = np.zeros((mat.shape[1], mat.shape[1]))
-    if ok.sum() >= 1:
-        sub = np.corrcoef(mat[:, ok], rowvar=False)
-        sub = np.atleast_2d(sub)
-        idx = np.where(ok)[0]
-        out[np.ix_(idx, idx)] = sub
-    np.fill_diagonal(out, 1.0)
-    return np.nan_to_num(out, nan=0.0)
 
 
 def remove_redundant(

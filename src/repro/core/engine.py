@@ -10,9 +10,17 @@ data-touching primitives over its held training frame:
 * ``corr(cols)``                 — Algorithm 4 Pearson matrix
 * ``add_generated(specs)``       — add generated feature columns
 
+Gain ratios and the Pearson matrix are one block kernel each, run by both
+engines through ``_reduce(cols, kernel, merge, zero)``:
+:func:`repro.core.gain_ratio.cell_counts`, and the co-moments of
+:class:`repro.core.scan.ColumnStats`, whose one Pearson finish follows
+``numpy.corrcoef`` (times 1/(n − 1), divided by the row, then the column
+standard deviations, clipped to [−1, 1]).
+
 ``LocalEngine`` holds its training columns as a dict of float64 arrays
 and runs vectorised numpy — the paper's own benchmark setting (4-core
-machine). ``add_generated`` inserts the new arrays, so no step copies the
+machine). Its ``_reduce`` runs a kernel once, on all rows of the asked
+columns. ``add_generated`` inserts the new arrays, so no step copies the
 whole frame. It sorts each column once per statistic: ``iv`` takes its bin
 counts from sorted values (:func:`repro.core.iv.iv_scores`), and
 ``fit_gbdt`` keeps every column's GBDT bin edges and codes
@@ -21,13 +29,12 @@ ranking GBDT re-bins no column the mining GBDT binned.
 
 ``SparkEngine`` holds a Spark DataFrame — the "industrial scale" setting
 of §V-B — and runs every statistic distributed, at one pass over the data
-per statistic. Each pass runs a block kernel on every partition and
+per statistic. Its ``_reduce`` runs a kernel on every partition and
 merges the partials on the driver, through one helper,
 :func:`repro.gbdt.spark_backend.reduce_partitions`: ``iv`` is one fused
-:class:`repro.core.scan.ColumnStats` scan that also merges the Pearson
-moments, gain ratios sum :func:`repro.core.gain_ratio.cell_counts` (the
-local engine's kernel too), and ``fit_gbdt`` grows a plain
-:class:`GBDTClassifier` whose histograms are summed the same way
+:class:`~repro.core.scan.ColumnStats` scan that also merges the Pearson
+moments, and ``fit_gbdt`` grows a plain :class:`GBDTClassifier` whose
+histograms are summed the same way
 (:func:`repro.gbdt.spark_backend.fit_spark`). Bin edges (IV and GBDT)
 come from one cache of ``approxQuantile`` values, asked for on the IV
 grid and the GBDT grid at once, so each column's sketch is fetched once
@@ -57,8 +64,7 @@ from ..gbdt.spark_backend import (
     reduce_partitions,
 )
 from .combos import FeatureCombo
-from .correlation import pearson_matrix
-from .gain_ratio import cell_counts, gain_ratios, gain_ratios_from_cell_counts, n_cells
+from .gain_ratio import cell_counts, gain_ratios_from_cell_counts, n_cells
 from .iv import DEFAULT_BETA, iv_scores
 from .plan import FeatureSpec
 from .scan import ColumnStats
@@ -83,6 +89,19 @@ __all__ = ["COLLECT_BUDGET_BYTES", "LocalEngine", "SparkEngine"]
 #: for a file source (Parquet, ORC) the estimate is bytes on disk,
 #: usually compressed, so the frame can be many times larger.
 COLLECT_BUDGET_BYTES = 8 << 20
+
+
+def _gain_ratios(reduce, cols: list[str], combos: list[FeatureCombo]) -> list[float]:
+    """Algorithm 2 through an engine's ``_reduce``: cell counts, then the finish."""
+    zero = np.zeros(2 * n_cells(combos), dtype=np.int64)
+    counts = reduce(cols, lambda X, y: cell_counts(X, y, combos), np.add, zero)
+    return gain_ratios_from_cell_counts(counts, combos)
+
+
+def _scan(reduce, cols: list[str], edges: list[np.ndarray]) -> ColumnStats:
+    """:class:`ColumnStats` of ``cols`` on ``edges`` through an engine's ``_reduce``."""
+    kernel = lambda X, y: ColumnStats.of_block(X, y, edges)  # noqa: E731
+    return reduce(cols, kernel, ColumnStats.merge, ColumnStats.empty(edges))
 
 
 class LocalEngine:
@@ -130,14 +149,19 @@ class LocalEngine:
         mapper = BinMapper(edges=tuple(self._bins[c, n_bins][0] for c in cols))
         return model.fit_binned(codes, mapper, self.y)
 
+    def _reduce(self, cols: list[str], kernel, merge, zero):
+        """``kernel(X, y)`` of the one block (all rows of ``cols`` and the
+        label), merged into ``zero`` as ``SparkEngine._reduce`` merges partials."""
+        return merge(zero, kernel(self._matrix(cols), self.y))
+
     def gain_ratios(self, cols: list[str], combos: list[FeatureCombo]) -> list[float]:
-        return gain_ratios(self._matrix(cols), self.y, combos)
+        return _gain_ratios(self._reduce, cols, combos)
 
     def iv(self, cols: list[str], beta: int = DEFAULT_BETA) -> dict[str, float]:
         return iv_scores(self.columns, self.y, beta=beta, columns=cols)
 
     def corr(self, cols: list[str]) -> np.ndarray:
-        return pearson_matrix(self._matrix(cols))
+        return _scan(self._reduce, cols, [np.empty(0)] * len(cols)).pearson()
 
     def add_generated(self, specs: list[FeatureSpec]) -> None:
         """Insert each new column's values; a spec may read one added before it."""
@@ -210,26 +234,12 @@ class SparkEngine:
         return reduce_partitions(self.df.select(*cols, label), block, merge, zero)
 
     def gain_ratios(self, cols: list[str], combos: list[FeatureCombo]) -> list[float]:
-        counts = self._reduce(
-            cols,
-            lambda X, y: cell_counts(X, y, combos),
-            np.add,
-            np.zeros(2 * n_cells(combos), dtype=np.int64),
-        )
-        return gain_ratios_from_cell_counts(counts, combos)
-
-    def _scan(self, cols: list[str], edges: list[np.ndarray]) -> ColumnStats:
-        return self._reduce(
-            cols,
-            lambda X, y: ColumnStats.of_block(X, y, edges),
-            ColumnStats.merge,
-            ColumnStats.empty(edges),
-        )
+        return _gain_ratios(self._reduce, cols, combos)
 
     def iv(self, cols: list[str], beta: int = DEFAULT_BETA) -> dict[str, float]:
         """IV per column from one fused scan that also keeps the Pearson moments."""
         edges = [np.unique(q) for q in self.quantiles(cols, quantile_probs(beta))]
-        stats = self._scan(cols, edges)
+        stats = _scan(self._reduce, cols, edges)
         self._scanned = (list(cols), stats)
         return dict(zip(cols, stats.iv()))
 
@@ -239,7 +249,7 @@ class SparkEngine:
         scanned, stats = self._scanned
         if not set(cols) <= set(scanned):
             scanned = cols
-            stats = self._scan(cols, [np.empty(0)] * len(cols))
+            stats = _scan(self._reduce, cols, [np.empty(0)] * len(cols))
         at = {c: i for i, c in enumerate(scanned)}
         return stats.pearson([at[c] for c in cols])
 

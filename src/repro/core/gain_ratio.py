@@ -18,14 +18,12 @@ regardless of the number of combinations.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from .combos import FeatureCombo
 
 __all__ = [
     "cell_counts",
     "gain_ratio_from_counts",
-    "gain_ratios",
     "gain_ratios_from_cell_counts",
     "n_cells",
     "top_combos",
@@ -50,10 +48,14 @@ def gain_ratio_from_counts(cell_pos: np.ndarray, cell_neg: np.ndarray) -> float:
     if n == 0:
         return 0.0
     h_root = _entropy(np.array([cell_pos.sum(), cell_neg.sum()]))
-    h_cond = 0.0
-    for p, q in zip(cell_pos, cell_neg):
-        if p + q > 0:
-            h_cond += (p + q) / n * _entropy(np.array([p, q]))
+    # each non-empty cell's label entropy, as _entropy computes it, and
+    # h_cond summed left to right over those cells
+    nz = n_cell > 0
+    share = np.stack([cell_pos[nz], cell_neg[nz]]) / n_cell[nz]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(share > 0, share * np.log(share), 0.0)
+    terms = n_cell[nz] / n * -(plogp[0] + plogp[1])
+    h_cond = np.cumsum(np.concatenate(([0.0], terms)))[-1]  # 0.0 + t0 + t1 + ...
     split_info = _entropy(n_cell)
     gain = h_root - h_cond
     return float(gain / split_info) if split_info > 1e-12 else 0.0
@@ -103,17 +105,6 @@ def gain_ratios_from_cell_counts(counts: np.ndarray, combos: list[FeatureCombo])
         out.append(gain_ratio_from_counts(pos[at : at + k], neg[at : at + k]))
         at += k
     return out
-
-
-def gain_ratios(
-    X: pd.DataFrame | np.ndarray, y: np.ndarray, combos: list[FeatureCombo]
-) -> list[float]:
-    """Gain ratio per combination (numpy engine).
-
-    ``combo.features`` index columns of ``X`` positionally.
-    """
-    mat = X.to_numpy(dtype=np.float64) if isinstance(X, pd.DataFrame) else np.asarray(X, dtype=np.float64)
-    return gain_ratios_from_cell_counts(cell_counts(mat, y, combos), combos)
 
 
 def top_combos(

@@ -19,10 +19,15 @@ blocks:
 
 The kernel is ``block → merge → finish``: :meth:`ColumnStats.of_block`
 summarises one block, :meth:`ColumnStats.merge` combines two summaries,
-and :meth:`ColumnStats.iv` / :meth:`ColumnStats.pearson` finish. The
-Spark engine runs ``of_block`` on every partition in one Spark job and
-merges the partials on the driver
-(:func:`repro.gbdt.spark_backend.reduce_partitions`).
+and :meth:`ColumnStats.iv` / :meth:`ColumnStats.pearson` finish. It is
+the one Pearson kernel of both engines: the local engine summarises its
+frame as one block, the Spark engine every partition in one Spark job
+(:func:`repro.gbdt.spark_backend.reduce_partitions`). ``pearson``
+finishes in ``numpy.corrcoef``'s order (co-moments times 1/(n − 1),
+divided by the standard deviations along the rows, then along the
+columns, clipped to [−1, 1]), and only the columns that vary and hold no
+NaN or ±inf enter a block's co-moment product, so one block without bin
+edges gives ``numpy.corrcoef``'s matrix of those columns bit for bit.
 """
 from __future__ import annotations
 
@@ -66,30 +71,33 @@ class ColumnStats:
         cls, X: np.ndarray, y: np.ndarray, edges: list[np.ndarray]
     ) -> "ColumnStats":
         """Summary of one (n, m) block; ``edges[j]`` are column j's sorted
-        distinct bin edges (empty: one bin)."""
+        distinct bin edges (empty: one bin). A constant column's
+        co-moments are 0, and a column holding NaN or ±inf gets NaN ones."""
         X = np.asarray(X, dtype=np.float64)
         n, m = X.shape
-        n_bins = _n_bins(edges)
         if n == 0:
             return cls.empty(edges)
-        codes = np.empty((n, m), dtype=np.int64)
-        for j, e in enumerate(edges):
-            codes[:, j] = np.searchsorted(e, X[:, j], side="left")
-        codes += np.arange(m) * n_bins  # column j's bins at j·n_bins..
         yb = np.asarray(y).astype(bool)
-        size = m * n_bins
-        shifted = X - _shifts(edges)
-        mean = shifted.mean(axis=0)
-        d = shifted - mean
-        return cls(
-            n,
-            mean,
-            d.T @ d,
-            X.min(axis=0),
-            X.max(axis=0),
-            np.bincount(codes[yb].ravel(), minlength=size).reshape(m, n_bins),
-            np.bincount(codes.ravel(), minlength=size).reshape(m, n_bins),
-        )
+        pos = np.zeros((m, _n_bins(edges)), dtype=np.int64)
+        count = np.zeros_like(pos)
+        pos[:, 0], count[:, 0] = yb.sum(), n  # one bin for a column without edges
+        for j, e in enumerate(edges):
+            if len(e):
+                codes = np.searchsorted(e, X[:, j], side="left")
+                count[j, : len(e) + 1] = np.bincount(codes, minlength=len(e) + 1)
+                pos[j, : len(e) + 1] = np.bincount(codes[yb], minlength=len(e) + 1)
+        lo, hi = X.min(axis=0), X.max(axis=0)  # NaN when the column holds one
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        shifts = _shifts(edges)
+        mean = np.where(finite, lo - shifts, np.nan)
+        comoment = np.where(finite[:, None] & finite, 0.0, np.nan)
+        used = np.flatnonzero(finite & (hi > lo))
+        if used.size:
+            d = X.T[used] - shifts[used, None]  # (used, n), one row per column
+            mean[used] = d.mean(axis=1)
+            d -= mean[used, None]
+            comoment[np.ix_(used, used)] = np.dot(d, d.T)
+        return cls(n, mean, comoment, lo, hi, pos, count)
 
     def merge(self, other: "ColumnStats") -> "ColumnStats":
         """Summary of both row sets (Chan et al.'s pairwise update)."""
@@ -120,20 +128,23 @@ class ColumnStats:
     def pearson(self, idx: list[int] | None = None) -> np.ndarray:
         """Pearson matrix of the columns ``idx`` (default: all).
 
-        A constant (or NaN-holding) column correlates 0 with every other
-        column; the diagonal is 1.
+        Finished in ``numpy.corrcoef``'s order. A constant (or NaN- or
+        ±inf-holding) column correlates 0 with every other column; the
+        diagonal is 1.
         """
         idx = list(range(len(self.mean))) if idx is None else list(idx)
-        c = self.comoment[np.ix_(idx, idx)]
+        c = self.comoment[np.ix_(idx, idx)] * (1 / max(self.n - 1, 1))
         var = np.diag(c)
         varies = (self.hi[idx] > self.lo[idx]) & (var > 0)
         sd = np.sqrt(np.where(varies, var, 1.0))
-        with np.errstate(invalid="ignore"):
-            r = np.clip(c / np.outer(sd, sd), -1.0, 1.0)
-        r[~varies, :] = 0.0
-        r[:, ~varies] = 0.0
-        np.fill_diagonal(r, 1.0)
-        return np.nan_to_num(r, nan=0.0)
+        with np.errstate(invalid="ignore"):  # inf / inf where a variance overflowed
+            c /= sd[:, None]
+            c /= sd[None, :]
+        np.clip(c, -1.0, 1.0, out=c)
+        c[~varies, :] = 0.0
+        c[:, ~varies] = 0.0
+        np.fill_diagonal(c, 1.0)
+        return np.nan_to_num(c, nan=0.0, copy=False)
 
 
 def _shifts(edges: list[np.ndarray]) -> np.ndarray:

@@ -27,6 +27,14 @@ def pdf():
     )
 
 
+@pytest.mark.parametrize("cls", [LocalEngine, SparkEngine])
+def test_engine_defines_its_primitives_in_its_own_body(cls):
+    """The traced benchmark wraps ``cls.__dict__[name]`` of each primitive,
+    so an inherited one would go untraced or fail to patch."""
+    for name in ("fit_gbdt", "gain_ratios", "iv", "corr", "add_generated"):
+        assert name in cls.__dict__, name
+
+
 def test_local_feature_columns(pdf):
     eng = LocalEngine(pdf, "label")
     assert eng.feature_columns == ["a", "b", "c"]

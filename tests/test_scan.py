@@ -109,3 +109,22 @@ def test_scan_spark_equals_one_block(spark, spark_scan, block):
     np.testing.assert_array_equal(got.pos, want.pos)
     np.testing.assert_array_equal(got.count, want.count)
     np.testing.assert_allclose(got.pearson(), want.pearson(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="iv_scores smooths an empty interior bin with 0.5; ColumnStats.iv drops every empty bin",
+)
+def test_iv_of_scan_equals_iv_scores_with_an_empty_bin():
+    """On the same edges [0, 0.5, 3] the bin (0, 0.5] is empty: the local
+    IV is 0.161369 and the scan's 0.161530."""
+    from repro.core.iv import _edges, iv_scores
+
+    x = np.repeat([0.0, 1.0, 2.0, 3.0], [500, 30, 30, 440])
+    i = np.arange(len(x))
+    y = np.where(x == 0, i % 10 < 4, i % 10 < 6).astype(int)
+    edges = _edges(np.sort(x), 10)
+    np.testing.assert_array_equal(edges, [0.0, 0.5, 3.0])
+    scan = ColumnStats.of_block(x[:, None], y, [edges])
+    assert scan.count[0, 1] == 0
+    assert scan.iv()[0] == pytest.approx(iv_scores({"x": x}, y)["x"], rel=1e-9)
