@@ -231,8 +231,10 @@ def _best_split(
     reg_lambda: float,
     gamma: float,
     min_child_weight: float,
+    split_mask=None,
 ):
-    """Best (gain, feature, bin, GL, HL) for one node's (m, bins) histograms."""
+    """Best (gain, feature, bin, GL, HL) for one node's (m, bins) histograms,
+    over the splits that the mapper and ``split_mask`` (see :func:`grow_tree`) allow."""
     G = gh_node[0, :].sum()
     H = hh_node[0, :].sum()
     parent = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
@@ -245,8 +247,11 @@ def _best_split(
             * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent)
             - gamma
         )
+    legal = mapper.legal_splits
+    if split_mask is not None:
+        legal = legal & split_mask(hh_node)
     gain = np.where(
-        mapper.legal_splits & (hl >= min_child_weight) & (hr >= min_child_weight),
+        legal & (hl >= min_child_weight) & (hr >= min_child_weight),
         gain,
         -np.inf,
     )
@@ -279,6 +284,7 @@ def grow_tree(
     gamma: float = 0.0,
     min_child_weight: float = 1e-3,
     learning_rate: float = 0.3,
+    split_mask=None,
 ) -> Tree:
     """Grow one tree level-wise.
 
@@ -290,6 +296,12 @@ def grow_tree(
     the scanned child's (histogram subtraction, as in LightGBM). So each
     level costs one histogram pass over the lighter child of every split.
     Child leaf values come from the split's own sums (−G/(H+λ)·lr).
+
+    ``split_mask(hh_node) -> mask``, if given, restricts each node's splits:
+    it gets the node's (m, bins) hessian histogram and returns an
+    (m, bins − 1) boolean mask that is ANDed with ``mapper.legal_splits``.
+    The evaluation classifiers' random forests and extra-trees draw their
+    per-node features and thresholds this way; the booster passes none.
     """
 
     def leaf_value(G: float, H: float) -> float:
@@ -313,7 +325,7 @@ def grow_tree(
         frontier, derived, parents = {}, {}, hists
         for nid, (g, h) in sorted(hists.items()):
             gain, f, b, GL, HL, G, H = _best_split(
-                g, h, mapper, reg_lambda, gamma, min_child_weight
+                g, h, mapper, reg_lambda, gamma, min_child_weight, split_mask
             )
             node = tree.nodes[nid]
             if gain <= 0 or f < 0:

@@ -1,8 +1,12 @@
 """AdaBoost (evaluation suite "AB"): SAMME with depth-1 stumps.
 
 Mirrors ``sklearn.ensemble.AdaBoostClassifier`` defaults (50 estimators,
-stump base learner). The decision function is the α-weighted vote sum;
-only its ordering matters for the AUC tables.
+stump base learner). Each stump is a weighted gini tree grown by
+:func:`repro.models.trees.gini_tree` (the booster's ``grow_tree`` with
+g = −w·y, h = w, λ = 0) on the boosting weights rescaled to mean 1; any
+split whose children both hold a row of positive weight is eligible. The
+decision function is the α-weighted vote sum; only its ordering matters
+for the AUC tables.
 """
 from __future__ import annotations
 
@@ -10,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gbdt.binning import BinMapper, bin_matrix
-from .trees import _ClassTree
+from ..gbdt.tree import Tree
+from .trees import binned, gini_tree
 
 __all__ = ["AdaBoostNP"]
 
@@ -21,33 +25,20 @@ class AdaBoostNP:
     n_estimators: int = 50
     max_depth: int = 1
     n_bins: int = 64
-    random_state: int = 0
 
-    _stumps: list[_ClassTree] = field(default_factory=list, repr=False)
+    _stumps: list[Tree] = field(default_factory=list, repr=False)
     _alphas: list[float] = field(default_factory=list, repr=False)
-    _mapper: BinMapper | None = field(default=None, repr=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "AdaBoostNP":
-        X = np.asarray(X, dtype=np.float64)
+        mapper, codes = binned(X, self.n_bins)
         y = np.asarray(y, dtype=np.int64)
-        self._mapper, codes = bin_matrix(X, self.n_bins)
-        rng = np.random.default_rng(self.random_state)
         n = len(y)
         w = np.full(n, 1.0 / n)
         self._stumps, self._alphas = [], []
         for _t in range(self.n_estimators):
-            stump = _ClassTree().fit(
-                codes,
-                y,
-                w,
-                self._mapper,
-                max_depth=self.max_depth,
-                min_samples_leaf=1,
-                max_features=None,
-                rng=rng,
-                random_threshold=False,
-            )
-            pred = (stump.predict_proba1(X) >= 0.5).astype(np.int64)
+            u = w / w.mean()
+            stump = gini_tree(codes, y, u, mapper, max_depth=self.max_depth, min_weight=u[u > 0].min() / 2)
+            pred = (stump.predict_binned(codes) >= 0.5).astype(np.int64)
             err = float(w[pred != y].sum() / w.sum())
             if err >= 0.5:
                 break
@@ -67,7 +58,7 @@ class AdaBoostNP:
         X = np.asarray(X, dtype=np.float64)
         score = np.zeros(len(X))
         for stump, alpha in zip(self._stumps, self._alphas):
-            score += alpha * (2.0 * (stump.predict_proba1(X) >= 0.5) - 1.0)
+            score += alpha * (2.0 * (stump.predict(X) >= 0.5) - 1.0)
         return score
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

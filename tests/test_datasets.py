@@ -39,7 +39,7 @@ def test_small_datasets_have_no_valid_split():
             assert s.n_valid > 0, s.name
 
 
-@pytest.mark.parametrize("spec", SMALL, ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", BENCHMARK_DATASETS, ids=lambda s: s.name)
 def test_shapes_match_spec(spec):
     tr, va, te = make_dataset(spec)
     assert len(tr) == spec.n_train
@@ -104,3 +104,12 @@ def test_business_dataset_generation_sane():
     tr, va, te = make_dataset(small)
     assert len(tr) == 5000 and len(va) == 1000 and len(te) == 1000
     assert 0.005 < tr[LABEL_COL].mean() < 0.08
+
+
+def test_business_dataset_fraud_rate():
+    """Data1 at 20,000 training rows keeps a fraud-style class imbalance."""
+    from dataclasses import replace
+
+    spec = replace(BUSINESS_DATASETS[0], n_train=20_000, n_valid=4_000, n_test=4_000)
+    tr, _va, _te = make_dataset(spec)
+    assert 0.01 < tr[LABEL_COL].mean() < 0.06

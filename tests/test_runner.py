@@ -54,6 +54,15 @@ def test_run_dataset_long_format(banknote):
     assert (df["dataset"] == "banknote").all()
 
 
+def test_magic_sweep_beats_chance_for_every_cell():
+    """One method × classifier sweep of the mid-sized benchmark set, the
+    Table III job's loop, with a distance, a linear and a tree classifier."""
+    magic = [s for s in BENCHMARK_DATASETS if s.name == "magic"][0]
+    df = run_dataset(magic, methods=("ORIG", "SAFE", "TFC"), classifiers=("LR", "kNN", "XGB"))
+    assert len(df) == 9
+    assert (df["auc"] > 0.55).all()
+
+
 def test_repeats_vary_seeded_methods():
     # banknote (dim 4) is degenerate for RAND — γ=8 covers all 6 pairs —
     # so use magic (dim 10: 45 pairs, γ=20) where the draw actually varies
