@@ -19,12 +19,17 @@ def configure_logging() -> None:
     logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")
 
 
+#: driver JVM heap of the Spark jobs when ``SPARK_DRIVER_MEM`` is unset
+DRIVER_MEM = "2g"
+
+
 def get_spark():
     """A SparkSession configured like conftest's fixture (for jobs that
-    exercise the distributed engine)."""
+    exercise the distributed engine); ``SPARK_DRIVER_MEM`` sets the driver
+    heap, as it does for the tests."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
+        f"--master local[*] --driver-memory {os.environ.get('SPARK_DRIVER_MEM', DRIVER_MEM)} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )

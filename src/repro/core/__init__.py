@@ -3,7 +3,7 @@ from .combos import FeatureCombo, mine_combos
 from .correlation import DEFAULT_THETA, PEARSON_BANDS, remove_redundant
 from .engine import LocalEngine, SparkEngine
 from .gain_ratio import top_combos
-from .iv import DEFAULT_ALPHA, DEFAULT_BETA, IV_BANDS, iv_scores
+from .iv import DEFAULT_ALPHA, DEFAULT_BETA, IV_BANDS
 from .operators import BINARY_OPERATORS, DEFAULT_BINARY_OPS, UNARY_OPERATORS, pair_specs
 from .pipeline import SafePipeline
 from .plan import FeaturePlan, FeatureSpec
@@ -22,7 +22,6 @@ __all__ = [
     "IV_BANDS",
     "DEFAULT_ALPHA",
     "DEFAULT_BETA",
-    "iv_scores",
     "BINARY_OPERATORS",
     "UNARY_OPERATORS",
     "DEFAULT_BINARY_OPS",

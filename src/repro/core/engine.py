@@ -10,19 +10,21 @@ data-touching primitives over its held training frame:
 * ``corr(cols)``                 — Algorithm 4 Pearson matrix
 * ``add_generated(specs)``       — add generated feature columns
 
-Gain ratios and the Pearson matrix are one block kernel each, run by both
-engines through ``_reduce(cols, kernel, merge, zero)``:
-:func:`repro.core.gain_ratio.cell_counts`, and the co-moments of
-:class:`repro.core.scan.ColumnStats`, whose one Pearson finish follows
-``numpy.corrcoef`` (times 1/(n − 1), divided by the row, then the column
-standard deviations, clipped to [−1, 1]).
+Gain ratios, IV and the Pearson matrix are one block kernel each, run by
+both engines through ``_reduce(cols, kernel, merge, zero)``:
+:func:`repro.core.gain_ratio.cell_counts`, :func:`repro.core.scan.bin_counts`
+(one IV finish, :func:`~repro.core.scan.iv_of_counts`), and the co-moments
+of :class:`repro.core.scan.ColumnStats`, whose Pearson finish follows
+``numpy.corrcoef``. The engines differ in how they produce blocks and in
+their bin edges: exact quantiles locally, ``approxQuantile`` on Spark.
 
 ``LocalEngine`` holds its training columns as a dict of float64 arrays
 and runs vectorised numpy — the paper's own benchmark setting (4-core
 machine). Its ``_reduce`` runs a kernel once, on all rows of the asked
 columns. ``add_generated`` inserts the new arrays, so no step copies the
-whole frame. It sorts each column once per statistic: ``iv`` takes its bin
-counts from sorted values (:func:`repro.core.iv.iv_scores`), and
+whole frame. ``iv`` reads its edges from each column sorted once
+(:func:`repro.core.iv.sorted_edges`); ``corr`` runs its own edge-free
+``ColumnStats`` scan, ``numpy.corrcoef``'s matrix bit for bit.
 ``fit_gbdt`` keeps every column's GBDT bin edges and codes
 (:func:`repro.gbdt.binning.bin_column`) for the engine's lifetime, so the
 ranking GBDT re-bins no column the mining GBDT binned.
@@ -65,9 +67,9 @@ from ..gbdt.spark_backend import (
 )
 from .combos import FeatureCombo
 from .gain_ratio import cell_counts, gain_ratios_from_cell_counts, n_cells
-from .iv import DEFAULT_BETA, iv_scores
+from .iv import DEFAULT_BETA, sorted_edges
 from .plan import FeatureSpec
-from .scan import ColumnStats
+from .scan import ColumnStats, bin_counts, iv_of_counts
 
 __all__ = ["COLLECT_BUDGET_BYTES", "LocalEngine", "SparkEngine"]
 
@@ -158,7 +160,10 @@ class LocalEngine:
         return _gain_ratios(self._reduce, cols, combos)
 
     def iv(self, cols: list[str], beta: int = DEFAULT_BETA) -> dict[str, float]:
-        return iv_scores(self.columns, self.y, beta=beta, columns=cols)
+        """IV per column, binned on exact edges read from each sorted column."""
+        edges = [sorted_edges(np.sort(self.columns[c]), beta) for c in cols]
+        pos, count = self._reduce(cols, lambda X, y: bin_counts(X, y, edges), np.add, 0)
+        return dict(zip(cols, iv_of_counts(pos, count)))
 
     def corr(self, cols: list[str]) -> np.ndarray:
         return _scan(self._reduce, cols, [np.empty(0)] * len(cols)).pearson()

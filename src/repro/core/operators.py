@@ -8,11 +8,14 @@ a+b, a−b, b−a, a×b, a÷b, b÷a.
 
 Division is guarded (denominator magnitude < 1e-12 → 0.0) identically on
 both execution paths so the Spark transform and the numpy transform are
-bit-for-bit comparable. The registry is open: new operators register with
+bit-for-bit comparable; a built-in binary one reads a Spark null (Arrow's
+copy of a pandas NaN) as NaN, so it gives NaN where numpy does, never
+null. The registry is open: new operators register with
 :func:`register_operator` (framework requirement from §III).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +53,11 @@ def _np_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nan_for_null(fn: Callable[..., Column]) -> Callable[..., Column]:
+    """``fn`` on its input columns with every null read as NaN."""
+    return lambda *cols: fn(*(F.coalesce(c, F.lit(float("nan"))) for c in cols))
+
+
 def _spark_div(a: Column, b: Column) -> Column:
     # Spark orders NaN above every double, so ``abs(NaN) > eps`` holds; a
     # NaN divisor gives 0, as in ``_np_div``
@@ -70,15 +78,15 @@ def register_operator(op: Operator) -> Operator:
 
 
 register_operator(
-    Operator("add", 2, True, lambda a, b: np.asarray(a) + np.asarray(b), lambda a, b: a + b)
+    Operator("add", 2, True, lambda a, b: np.asarray(a) + np.asarray(b), _nan_for_null(operator.add))
 )
 register_operator(
-    Operator("sub", 2, False, lambda a, b: np.asarray(a) - np.asarray(b), lambda a, b: a - b)
+    Operator("sub", 2, False, lambda a, b: np.asarray(a) - np.asarray(b), _nan_for_null(operator.sub))
 )
 register_operator(
-    Operator("mul", 2, True, lambda a, b: np.asarray(a) * np.asarray(b), lambda a, b: a * b)
+    Operator("mul", 2, True, lambda a, b: np.asarray(a) * np.asarray(b), _nan_for_null(operator.mul))
 )
-register_operator(Operator("div", 2, False, _np_div, _spark_div))
+register_operator(Operator("div", 2, False, _np_div, _nan_for_null(_spark_div)))
 
 # A few unary operators for completeness of the framework surface (§III);
 # the paper's evaluation does not use them, so they are opt-in.

@@ -4,9 +4,11 @@ Both filters read every candidate column once. :class:`ColumnStats` holds
 what both need from a block of rows, in a form that merges exactly across
 blocks:
 
-* per-bin positive and total label counts on given bin edges. A value
+* per-bin positive and total label counts on given bin edges, from
+  :func:`bin_counts`, the one IV bin counter of both engines. A value
   ``x`` lands in bin ``searchsorted(edges, x, 'left')``, so bin ``b`` holds
-  ``edges[b-1] < x <= edges[b]`` and NaN lands in the last bin;
+  ``edges[b-1] < x <= edges[b]``, NaN and +inf land in the last bin and
+  -inf in the first;
 * the row count, the column means and the centred co-moments
   ``Σ (x − x̄)(x − x̄)ᵀ``, merged with the pairwise update of Chan, Golub &
   LeVeque (1979), which stays accurate where raw ``Σ x·xᵀ`` sums cancel.
@@ -22,7 +24,10 @@ summarises one block, :meth:`ColumnStats.merge` combines two summaries,
 and :meth:`ColumnStats.iv` / :meth:`ColumnStats.pearson` finish. It is
 the one Pearson kernel of both engines: the local engine summarises its
 frame as one block, the Spark engine every partition in one Spark job
-(:func:`repro.gbdt.spark_backend.reduce_partitions`). ``pearson``
+(:func:`repro.gbdt.spark_backend.reduce_partitions`). The local engine's
+IV runs :func:`bin_counts` alone (merged by addition) and the Spark
+engine's runs it inside ``of_block``; both finish with :func:`iv_of_counts`,
+so on the same edges the two give the same IV. ``pearson``
 finishes in ``numpy.corrcoef``'s order (co-moments times 1/(n − 1),
 divided by the standard deviations along the rows, then along the
 columns, clipped to [−1, 1]), and only the columns that vary and hold no
@@ -37,7 +42,7 @@ import numpy as np
 
 from .iv import iv_from_counts
 
-__all__ = ["ColumnStats"]
+__all__ = ["ColumnStats", "bin_counts", "iv_of_counts"]
 
 
 @dataclass(frozen=True)
@@ -74,18 +79,10 @@ class ColumnStats:
         distinct bin edges (empty: one bin). A constant column's
         co-moments are 0, and a column holding NaN or ±inf gets NaN ones."""
         X = np.asarray(X, dtype=np.float64)
-        n, m = X.shape
+        n = len(X)
         if n == 0:
             return cls.empty(edges)
-        yb = np.asarray(y).astype(bool)
-        pos = np.zeros((m, _n_bins(edges)), dtype=np.int64)
-        count = np.zeros_like(pos)
-        pos[:, 0], count[:, 0] = yb.sum(), n  # one bin for a column without edges
-        for j, e in enumerate(edges):
-            if len(e):
-                codes = np.searchsorted(e, X[:, j], side="left")
-                count[j, : len(e) + 1] = np.bincount(codes, minlength=len(e) + 1)
-                pos[j, : len(e) + 1] = np.bincount(codes[yb], minlength=len(e) + 1)
+        pos, count = bin_counts(X, y, edges)
         lo, hi = X.min(axis=0), X.max(axis=0)  # NaN when the column holds one
         finite = np.isfinite(lo) & np.isfinite(hi)
         shifts = _shifts(edges)
@@ -93,7 +90,8 @@ class ColumnStats:
         comoment = np.where(finite[:, None] & finite, 0.0, np.nan)
         used = np.flatnonzero(finite & (hi > lo))
         if used.size:
-            d = X.T[used] - shifts[used, None]  # (used, n), one row per column
+            d = X.T[used]  # (used, n), one row per column
+            d -= shifts[used, None]
             mean[used] = d.mean(axis=1)
             d -= mean[used, None]
             comoment[np.ix_(used, used)] = np.dot(d, d.T)
@@ -118,12 +116,8 @@ class ColumnStats:
         )
 
     def iv(self) -> np.ndarray:
-        """Information value per column over its non-empty bins."""
-        out = np.empty(len(self.mean))
-        for j, (pos, count) in enumerate(zip(self.pos, self.count)):
-            nz = count > 0
-            out[j] = iv_from_counts(pos[nz], count[nz] - pos[nz])
-        return out
+        """Information value per column (:func:`iv_of_counts`)."""
+        return iv_of_counts(self.pos, self.count)
 
     def pearson(self, idx: list[int] | None = None) -> np.ndarray:
         """Pearson matrix of the columns ``idx`` (default: all).
@@ -145,6 +139,41 @@ class ColumnStats:
         c[:, ~varies] = 0.0
         np.fill_diagonal(c, 1.0)
         return np.nan_to_num(c, nan=0.0, copy=False)
+
+
+def bin_counts(
+    X: np.ndarray, y: np.ndarray, edges: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, count): (m, n_bins) int64 positive-label and total rows per bin
+    of an (n, m) block on sorted, distinct ``edges[j]`` (empty: one bin), as
+    ``bincount(searchsorted(edges[j], x, 'left'))`` counts them; they add
+    across blocks. Bins 0 through ``b`` hold the values ``x <= edges[j][b]``
+    (-0.0 equal to 0.0, NaN never), or every row if that edge is NaN, which
+    ``searchsorted`` orders last."""
+    X = np.asarray(X, dtype=np.float64)
+    yb = np.asarray(y).astype(bool)
+    # rows in bins 0 through b, all of them past a column's last edge
+    pos = np.full((X.shape[1], _n_bins(edges)), np.count_nonzero(yb), dtype=np.int64)
+    count = np.full_like(pos, len(X))
+    for j, e in enumerate(edges):
+        e = e[~np.isnan(e)]  # NaN edges sort last
+        if len(e):  # gather a column's positive rows only to bin them
+            x, x_pos = X[:, j], X[yb, j]
+            for b, v in enumerate(e):
+                count[j, b] = np.count_nonzero(x <= v)
+                pos[j, b] = np.count_nonzero(x_pos <= v)
+    return np.diff(pos, prepend=0), np.diff(count, prepend=0)
+
+
+def iv_of_counts(pos: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Information value per column of (m, n_bins) bin counts, over bins 0
+    through the column's highest non-empty bin: an empty bin below it is
+    kept and smoothed by 0.5 like every other (:func:`repro.core.iv.iv_from_counts`)."""
+    out = np.zeros(len(count))
+    for j, (p, c) in enumerate(zip(pos, count)):
+        k = c.nonzero()[0][-1] + 1 if c.any() else 0
+        out[j] = iv_from_counts(p[:k], c[:k] - p[:k])
+    return out
 
 
 def _shifts(edges: list[np.ndarray]) -> np.ndarray:

@@ -238,6 +238,12 @@ def _best_split(
     G = gh_node[0, :].sum()
     H = hh_node[0, :].sum()
     parent = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
+    legal = mapper.legal_splits
+    feats = None
+    if split_mask is not None:  # gains only of the features the mask allows
+        legal = legal & split_mask(hh_node)
+        feats = np.flatnonzero(legal.any(axis=1))
+        gh_node, hh_node, legal = gh_node[feats], hh_node[feats], legal[feats]
     gl = np.cumsum(gh_node, axis=1)[:, :-1]
     hl = np.cumsum(hh_node, axis=1)[:, :-1]
     gr, hr = G - gl, H - hl
@@ -247,9 +253,6 @@ def _best_split(
             * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent)
             - gamma
         )
-    legal = mapper.legal_splits
-    if split_mask is not None:
-        legal = legal & split_mask(hh_node)
     gain = np.where(
         legal & (hl >= min_child_weight) & (hr >= min_child_weight),
         gain,
@@ -260,7 +263,7 @@ def _best_split(
     f, b = np.unravel_index(np.argmax(gain), gain.shape)
     return (
         float(gain[f, b]),
-        int(f),
+        int(f if feats is None else feats[f]),
         int(b),
         float(gl[f, b]),
         float(hl[f, b]),

@@ -10,11 +10,15 @@ from repro.core.iv import (
     equal_freq_bin,
     iv_band,
     iv_from_counts,
-    iv_scores,
 )
-from repro.core.engine import SparkEngine
+from repro.core.engine import LocalEngine, SparkEngine
 from repro.core.pipeline import SafePipeline
 from repro.oracle import assert_equivalent
+
+
+def _local_iv(pdf: pd.DataFrame, y, cols: list[str]) -> dict[str, float]:
+    """``LocalEngine.iv`` of ``cols`` of ``pdf`` against the labels ``y``."""
+    return LocalEngine(pdf[cols].assign(label=np.asarray(y)), "label").iv(cols)
 
 
 def test_table1_bands():
@@ -75,18 +79,19 @@ def test_informative_feature_scores_higher():
     strong = y + rng.normal(0, 0.5, n)
     weak = y + rng.normal(0, 5.0, n)
     noise = rng.normal(size=n)
-    ivs = iv_scores(np.column_stack([strong, weak, noise]), y)
+    pdf = pd.DataFrame({"f0": strong, "f1": weak, "f2": noise})
+    ivs = _local_iv(pdf, y, ["f0", "f1", "f2"])
     assert ivs["f0"] > ivs["f1"] > ivs["f2"]
     assert ivs["f0"] > 0.5
     assert ivs["f2"] < 0.05
 
 
-def test_iv_scores_accepts_dataframe_columns():
+def test_local_iv_follows_the_asked_columns():
     rng = np.random.default_rng(3)
     pdf = pd.DataFrame({"a": rng.normal(size=500), "b": rng.normal(size=500)})
-    y = (pdf["a"] > 0).astype(int).to_numpy()
-    ivs = iv_scores(pdf, y, columns=["b", "a"])
-    assert set(ivs) == {"a", "b"}
+    pdf["label"] = (pdf["a"] > 0).astype(int)
+    ivs = LocalEngine(pdf, "label").iv(["b", "a"])
+    assert list(ivs) == ["b", "a"]
     assert ivs["a"] > 1.0  # perfectly separating feature
 
 
@@ -98,9 +103,9 @@ def test_nan_rows_keep_a_column_informative():
     X = rng.normal(size=(2000, 6))
     pdf = pd.DataFrame(X, columns=[f"x{i}" for i in range(6)])
     pdf["label"] = (X[:, 0] * X[:, 1] > 0).astype(int)
-    clean = iv_scores(pdf, pdf["label"], columns=["x0"])["x0"]
+    clean = _local_iv(pdf, pdf["label"], ["x0"])["x0"]
     pdf.loc[rng.random(2000) < 0.05, "x0"] = np.nan
-    with_nan = iv_scores(pdf, pdf["label"], columns=["x0"])["x0"]
+    with_nan = _local_iv(pdf, pdf["label"], ["x0"])["x0"]
     assert 0.5 * clean < with_nan < clean
     plan = SafePipeline().fit(pdf, "label", engine="local")
     pair = [c for c in plan.generated_outputs() if {"x0", "x1"} <= set(c.split("__")[0].split("_"))]
@@ -119,7 +124,7 @@ def test_spark_iv_matches_local(spark):
             "label": y,
         }
     )
-    local = iv_scores(pdf, y, columns=["s", "w", "z"])
+    local = LocalEngine(pdf, "label").iv(["s", "w", "z"])
     sdf = spark.createDataFrame(pdf)
     eng = SparkEngine(sdf, "label")
     dist = eng.iv(["s", "w", "z"])

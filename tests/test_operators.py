@@ -137,6 +137,25 @@ def test_spark_div_matches_numpy_on_degenerate_divisors(spark):
 
 
 @pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div"])
+def test_spark_null_input_gives_nan_where_numpy_does(spark, op_name):
+    """A null input reads as NaN: ``spark_fn`` gives NaN, never null, in
+    the rows where ``np_fn`` gives NaN, counted on the Spark side."""
+    op = BINARY_OPERATORS[op_name]
+    rows = [(None, 2.0), (1.0, None), (None, None), (float("nan"), 2.0), (3.0, 2.0)]
+    sdf = spark.createDataFrame([(i, *r) for i, r in enumerate(rows)], "i int, a double, b double")
+    v = op.spark_fn(F.col("a"), F.col("b"))
+    counts = sdf.agg(
+        F.sum(F.isnan(v).cast("int")).alias("nan"), F.sum(v.isNull().cast("int")).alias("null")
+    ).first()
+    is_nan = [r.v for r in sdf.orderBy("i").select(F.isnan(v).alias("v")).collect()]
+    a, b = (np.array([np.nan if r[k] is None else r[k] for r in rows]) for k in (0, 1))
+    want = np.isnan(op.np_fn(a, b))
+    assert counts["null"] == 0
+    assert counts["nan"] == want.sum() > 0
+    assert is_nan == list(want)
+
+
+@pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div"])
 def test_spark_matches_numpy(spark, pair_pdf, op_name):
     op = BINARY_OPERATORS[op_name]
     sdf = spark.createDataFrame(pair_pdf)

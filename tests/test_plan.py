@@ -102,3 +102,25 @@ def test_apply_spark_column_set(spark, pdf):
     plan = _plan()
     sdf = plan.apply_spark(spark.createDataFrame(pdf))
     assert sdf.columns == plan.output_columns + ["label"]
+
+
+def test_apply_spark_gives_nan_not_null(spark, pdf):
+    """Arrow turns a pandas NaN into a Spark null; Ψ on Spark still gives
+    NaN wherever ``apply_pandas`` does, and no null (counted on Spark)."""
+    from pyspark.sql import functions as F
+
+    pdf = pdf.copy()
+    pdf.loc[[0, 3], "f0"] = np.nan
+    pdf.loc[[3, 5], "f2"] = np.nan
+    plan = _plan()
+    sdf = plan.apply_spark(spark.createDataFrame(pdf))
+    assert sdf.filter(F.col("f0").isNull()).count() == 2  # the input holds nulls
+    generated = plan.generated_outputs()
+    counts = sdf.agg(
+        *(F.sum(F.isnan(c).cast("int")).alias(f"nan_{c}") for c in generated),
+        *(F.sum(F.col(c).isNull().cast("int")).alias(f"null_{c}") for c in generated),
+    ).first()
+    want = plan.apply_pandas(pdf)
+    for c in generated:
+        assert counts[f"null_{c}"] == 0, c
+        assert counts[f"nan_{c}"] == want[c].isna().sum() > 0, c

@@ -2,10 +2,12 @@
 from functools import reduce
 
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.iv import iv_from_counts
-from repro.core.scan import ColumnStats
+from repro.core.engine import LocalEngine
+from repro.core.iv import iv_from_counts, sorted_edges
+from repro.core.scan import ColumnStats, bin_counts, iv_of_counts
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +60,23 @@ def test_bin_counts_are_searchsorted_left(block):
     assert stats.count[3, 1] == np.sum((X[:, 3] > -0.5) & (X[:, 3] <= 0.0))
 
 
-def test_iv_uses_non_empty_bins_only(block):
+def test_iv_keeps_empty_bins_below_the_highest_non_empty_one(block):
     X, y, edges = block
     stats = _merged(X, y, edges, [(0, 600), (600, len(X))])
     for j in range(X.shape[1]):
-        nz = stats.count[j] > 0
+        k = np.flatnonzero(stats.count[j])[-1] + 1
         assert stats.iv()[j] == iv_from_counts(
-            stats.pos[j, nz], stats.count[j, nz] - stats.pos[j, nz]
+            stats.pos[j, :k], stats.count[j, :k] - stats.pos[j, :k]
         )
     assert stats.iv()[2] == 0.0  # the constant column fills one bin
+    # on edges [0, 0.5, 3] the bin (0, 0.5] is empty and smoothed, the bin
+    # past 3 is empty and left out
+    x = np.repeat([0.0, 1.0, 2.0, 3.0], [500, 30, 30, 440])
+    i = np.arange(len(x))
+    y = np.where(x == 0, i % 10 < 4, i % 10 < 6)
+    one = ColumnStats.of_block(x[:, None], y, [np.array([0.0, 0.5, 3.0])])
+    assert list(one.count[0]) == [500, 0, 500, 0]
+    assert one.iv()[0] == iv_from_counts([200, 0, 300], [300, 0, 200])
 
 
 def test_pearson_matches_corrcoef_and_zeroes_constant(block):
@@ -111,20 +121,77 @@ def test_scan_spark_equals_one_block(spark, spark_scan, block):
     np.testing.assert_allclose(got.pearson(), want.pearson(), rtol=0, atol=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="iv_scores smooths an empty interior bin with 0.5; ColumnStats.iv drops every empty bin",
-)
 def test_iv_of_scan_equals_iv_scores_with_an_empty_bin():
-    """On the same edges [0, 0.5, 3] the bin (0, 0.5] is empty: the local
-    IV is 0.161369 and the scan's 0.161530."""
-    from repro.core.iv import _edges, iv_scores
-
+    """On the same edges [0, 0.5, 3] the bin (0, 0.5] is empty: the scan's
+    IV equals the local engine's, 0.161369, both smoothing that bin."""
     x = np.repeat([0.0, 1.0, 2.0, 3.0], [500, 30, 30, 440])
     i = np.arange(len(x))
     y = np.where(x == 0, i % 10 < 4, i % 10 < 6).astype(int)
-    edges = _edges(np.sort(x), 10)
+    edges = sorted_edges(np.sort(x), 10)
     np.testing.assert_array_equal(edges, [0.0, 0.5, 3.0])
     scan = ColumnStats.of_block(x[:, None], y, [edges])
     assert scan.count[0, 1] == 0
-    assert scan.iv()[0] == pytest.approx(iv_scores({"x": x}, y)["x"], rel=1e-9)
+    local = LocalEngine(pd.DataFrame({"x": x, "label": y}), "label").iv(["x"])
+    assert scan.iv()[0] == local["x"] == pytest.approx(0.161369, abs=1e-6)
+
+
+def test_bin_counts_equal_bincount_of_searchsorted():
+    """200 random blocks holding NaN, ±inf, ±0 and ties, on edges drawn
+    from their values (±inf and NaN edges included): every bin count
+    equals ``bincount(searchsorted(edges, x, 'left'))``."""
+    rng = np.random.default_rng(12)
+    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.5])
+    for _ in range(200):
+        n, m = int(rng.integers(0, 60)), int(rng.integers(1, 4))
+        X = np.where(rng.random((n, m)) < 0.5, rng.choice(pool, (n, m)), rng.normal(size=(n, m)))
+        y = rng.random(n) < rng.choice([0.0, 0.3, 1.0])
+        edges = [
+            np.unique(rng.choice(np.concatenate([pool, rng.normal(size=4)]), rng.integers(0, 6)))
+            for _ in range(m)
+        ]
+        pos, count = bin_counts(X, y, edges)
+        assert pos.dtype == count.dtype == np.int64
+        for j, e in enumerate(edges):
+            codes = np.searchsorted(e, X[:, j], side="left")
+            want = np.bincount(codes, minlength=pos.shape[1])
+            want_pos = np.bincount(codes[y], minlength=pos.shape[1])
+            np.testing.assert_array_equal(count[j], want)
+            np.testing.assert_array_equal(pos[j], want_pos)
+
+
+def test_local_bin_counts_and_iv_equal_distributed_at_1_and_4_partitions(spark, spark_scan):
+    """The local engine's bin counts and IV equal those of the distributed
+    scan (``reduce_partitions`` of ``ColumnStats``) on the same edges, at
+    one partition and at four with one of them empty."""
+    rng = np.random.default_rng(13)
+    n = 600
+    normal = rng.normal(size=n)
+    cols = {
+        "nan": np.where(rng.random(n) < 0.1, np.nan, normal),
+        "inf": np.where(rng.random(n) < 0.05, rng.choice([np.inf, -np.inf], n), normal),
+        "zeros": rng.choice([-0.0, 0.0, 1.0, -1.0], n),
+        "constant": np.full(n, 3.5),
+        "all_nan": np.full(n, np.nan),
+        "steps": np.repeat([0.0, 1.0, 2.0, 3.0], [300, 20, 20, 260]),
+        "leading": np.repeat([0.0, 1.0, 2.0, 3.0], [300, 20, 20, 260]),
+    }
+    names = list(cols)
+    edges = [sorted_edges(np.sort(x), 10) for x in cols.values()]
+    edges[-1] = np.array([-2.0, -1.0, 0.0, 0.5, 3.0])  # bins 0, 1 and 3 empty
+    for label in ("mixed", "single_class"):
+        y = (rng.random(n) < 0.3) if label == "mixed" else np.zeros(n, dtype=bool)
+        pdf = pd.DataFrame({**cols, "label": y.astype(int), "part": np.arange(n) % 3})
+        eng = LocalEngine(pdf.drop(columns="part"), "label")
+        pos, count = eng._reduce(names, lambda X, y: bin_counts(X, y, edges), np.add, 0)
+        want_iv = iv_of_counts(pos, count)
+        local = eng.iv(names[:-1])  # the columns on the local engine's own edges
+        assert list(local.values()) == list(want_iv[:-1]), label
+        assert count[names.index("steps"), 1] == 0  # an empty interior bin
+        sdf = spark.createDataFrame(pdf)
+        four = sdf.repartition(4, "part")  # three keys: at least one partition empty
+        assert 0 in four.rdd.glom().map(len).collect()
+        for frame in (sdf.coalesce(1), four):
+            stats = spark_scan(frame, names, edges)
+            np.testing.assert_array_equal(stats.pos, pos)
+            np.testing.assert_array_equal(stats.count, count)
+            assert list(stats.iv()) == list(want_iv), label

@@ -1,16 +1,19 @@
 """Sort-based binning is bit-identical to per-row binning.
 
 ``bin_matrix`` (GBDT edges and codes from one argsort per column) and
-``iv_scores`` (IV bin counts from sorted values) replaced code that
-binary-searched every row into its bin. The reference functions below are
-copies of that code; every edge, code, count and IV must equal theirs
-exactly on ordinary and adversarial columns.
+the local IV (edges read from the sorted column, bins counted by
+comparing values with edges) replaced code that binary-searched every row
+into its bin. The reference functions below are copies of that code;
+every edge, code, count and IV must equal theirs exactly on ordinary and
+adversarial columns.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.iv import iv_from_counts, iv_scores, sorted_bin_counts
+from repro.core.engine import LocalEngine
+from repro.core.iv import iv_from_counts, sorted_edges
+from repro.core.scan import bin_counts, iv_of_counts
 from repro.gbdt.binning import bin_column, bin_matrix
 
 # quantiles interpolated between infinities are NaN, and midpoints of the
@@ -144,19 +147,28 @@ def _labels(n: int, seed: int) -> dict[str, np.ndarray]:
     }
 
 
+def _iv_counts(x, y, beta):
+    """(pos, total) of the local IV's kernel on the column's own edges."""
+    pos, total = bin_counts(x[:, None], y, [sorted_edges(np.sort(x), beta)])
+    return pos[0], total[0]
+
+
 @pytest.mark.parametrize("n, seed", SIZES)
 def test_iv_counts_and_values_equal_per_row_binning(n, seed):
     cols = _columns(n, seed)
     for label, y in _labels(n, seed).items():
+        pdf = pd.DataFrame({**cols, "label": y.astype(int)})
         for beta in (2, 10, 50):
             want_iv = {}
             for name, x in cols.items():
                 pos, neg = ref_iv_counts(x, y, beta)
-                got_pos, got_total = sorted_bin_counts(np.sort(x), np.sort(x[y]), beta)
-                assert np.array_equal(got_pos, pos), (name, label, beta)
-                assert np.array_equal(got_total - got_pos, neg), (name, label, beta)
+                got_pos, got_total = _iv_counts(x, y, beta)
+                k = len(pos)  # bins past the largest value's are empty
+                assert not got_total[k:].any(), (name, label, beta)
+                assert np.array_equal(got_pos[:k], pos), (name, label, beta)
+                assert np.array_equal(got_total[:k] - got_pos[:k], neg), (name, label, beta)
                 want_iv[name] = iv_from_counts(pos, neg)
-            got_iv = iv_scores(pd.DataFrame(cols), y.astype(int), beta=beta)
+            got_iv = LocalEngine(pdf, "label").iv(list(cols), beta=beta)
             assert got_iv == want_iv, (label, beta)  # exact, NaN-free by smoothing
 
 
@@ -166,14 +178,15 @@ def test_iv_keeps_empty_inner_bins():
     x = np.array([1.0, 0.0, 0.0, 1.0])
     y = np.array([1, 0, 1, 0], dtype=bool)
     pos, neg = ref_iv_counts(x, y, 10)
-    got_pos, got_total = sorted_bin_counts(np.sort(x), np.sort(x[y]), 10)
-    assert np.array_equal(got_pos, pos) and np.array_equal(got_total - got_pos, neg)
-    assert list(got_total) == [2, 0, 0, 0, 2]
+    got_pos, got_total = _iv_counts(x, y, 10)
+    assert list(got_total) == [2, 0, 0, 0, 2, 0]  # the last edge is 1.0
+    assert np.array_equal(got_pos[:5], pos) and np.array_equal(got_total[:5] - got_pos[:5], neg)
+    assert iv_of_counts(got_pos[None], got_total[None])[0] == iv_from_counts(pos, neg)
 
 
 def test_nan_lands_in_the_last_bin():
     """The edges come from the finite values, so a NaN row counts in the
     last bin and the finite rows keep their own bins."""
     x = np.array([np.nan, 1.0, 2.0, 3.0, 4.0])
-    pos, total = sorted_bin_counts(np.sort(x), np.sort(x[[True, False, True, False, False]]), 4)
+    pos, total = _iv_counts(x, np.array([True, False, True, False, False]), 4)
     assert list(total) == [1, 1, 1, 2] and list(pos) == [0, 1, 0, 1]
