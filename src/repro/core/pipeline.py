@@ -39,7 +39,10 @@ __all__ = ["SafePipeline", "SafeFitReport"]
 
 @dataclass
 class SafeFitReport:
-    """Per-iteration diagnostics collected during ``fit``."""
+    """Per-iteration diagnostics collected during ``fit``: stage counts,
+    ``iv`` per candidate, ``importance`` per nonredundant feature and
+    ``gain_ratio`` per generated feature (its combination's). ``fit_seconds``
+    is read from a monotonic clock."""
 
     iterations: list[dict] = field(default_factory=list)
     fit_seconds: float = 0.0
@@ -98,7 +101,7 @@ class SafePipeline:
             eng.close()
 
     def _fit(self, eng, label_col: str) -> FeaturePlan:
-        t0 = time.time()
+        t0 = time.perf_counter()
         self.report_ = SafeFitReport()
 
         base = eng.feature_columns
@@ -111,7 +114,7 @@ class SafePipeline:
         for it in range(self.n_iterations):
             if (
                 self.time_budget_s is not None
-                and time.time() - t0 > self.time_budget_s
+                and time.perf_counter() - t0 > self.time_budget_s
             ):
                 break
             # 1. mine combination relations from the tree model
@@ -122,8 +125,10 @@ class SafePipeline:
             # 2. sort by information gain ratio, keep top γ
             ratios = eng.gain_ratios(base, combos)
             kept = top_combos(combos, ratios, gamma)
+            ratio_of = dict(zip(combos, ratios))
             # 3. generate: apply the operator set to each kept combination
             new_specs: list[FeatureSpec] = []
+            gain_ratio: dict[str, float] = {}
             for combo in kept:
                 a, b = base[combo.features[0]], base[combo.features[1]]
                 for op_name, inputs in pair_specs(a, b, self.operators):
@@ -131,6 +136,7 @@ class SafePipeline:
                     if spec.name not in existing:
                         new_specs.append(spec)
                         existing.add(spec.name)
+                        gain_ratio[spec.name] = ratio_of[combo]
             eng.add_generated(new_specs)
             all_specs.extend(new_specs)
             # 4. select from base ∪ generated
@@ -154,6 +160,9 @@ class SafePipeline:
                     "n_informative": len(report["informative"]),
                     "n_nonredundant": len(report["nonredundant"]),
                     "n_selected": len(selected),
+                    "iv": report["iv"],
+                    "importance": report["importance"],
+                    "gain_ratio": gain_ratio,
                 }
             )
             if set(selected) == set(base):
@@ -161,7 +170,7 @@ class SafePipeline:
                 break  # fixed point: no new useful combinations (§V-A6)
             base = selected
 
-        self.report_.fit_seconds = time.time() - t0
+        self.report_.fit_seconds = time.perf_counter() - t0
         return FeaturePlan(all_specs, base, label_col).pruned()
 
     # ------------------------------------------------------------------

@@ -44,12 +44,12 @@ def fit_method(
     engine: str = "local",
     **overrides,
 ) -> MethodResult:
-    """Fit one comparison method, returning its plan and wall-clock fit time.
+    """Fit one comparison method, returning its plan and elapsed fit time.
 
     All methods follow the benchmark protocol (§V-A1): one iteration, the
     four arithmetic operators, output capped at 2·M features.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if name == "ORIG":
         cols = [c for c in train.columns if c != label_col]
         plan = FeaturePlan.identity(cols, label_col)
@@ -71,7 +71,7 @@ def fit_method(
         ).fit(train, label_col, valid, engine=engine)
     else:
         raise KeyError(f"unknown method {name!r}; known: {METHODS}")
-    return MethodResult(plan, time.time() - t0)
+    return MethodResult(plan, time.perf_counter() - t0)
 
 
 def evaluate_plan(

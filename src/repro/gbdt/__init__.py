@@ -1,7 +1,7 @@
 """XGBoost substrate: from-scratch histogram GBDT (numpy + Spark backends)."""
 from .binning import BinMapper, bin_matrix
 from .boosting import GBDTClassifier, logistic_grad_hess, sigmoid
-from .tree import Tree, TreeNode, assign_slots, build_histograms, grow_tree
+from .tree import Tree, TreeNode, assign_slots, build_histograms, grow_tree, histogram_weights
 
 __all__ = [
     "BinMapper",
@@ -14,4 +14,5 @@ __all__ = [
     "grow_tree",
     "assign_slots",
     "build_histograms",
+    "histogram_weights",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binning import BinMapper, bin_matrix
-from .tree import Tree, assign_slots, build_histograms, grow_tree
+from .tree import Tree, assign_slots, build_histograms, grow_tree, histogram_weights
 
 __all__ = ["GBDTClassifier", "sigmoid", "logistic_grad_hess"]
 
@@ -76,9 +76,12 @@ class GBDTClassifier:
         ``codes`` is a column-major integer matrix such as :func:`bin_matrix`
         returns, so a caller that keeps codes per column (the local engine)
         fits several models without binning a column twice. It is widened
-        to ``intp`` once (no copy if it is already): ``np.bincount`` counts
-        ``intp`` indices and would otherwise convert a column on every
-        call.
+        to ``intp`` once (no copy if it is already): ``np.add.at`` indexes
+        with ``intp`` and would otherwise convert a column on every call.
+
+        Each tree's gradients and hessians are packed once into one complex
+        weight vector (:func:`histogram_weights`); rows left out by
+        ``subsample`` weigh 0 in both parts.
 
         This is the local histogram source of :meth:`fit_source`. It keeps
         each row's node in the tree being grown: every histogram pass moves
@@ -99,16 +102,14 @@ class GBDTClassifier:
                 trees[-1].advance(node, codes)
                 margin[:] += trees[-1].leaf_values()[node]
                 node[:] = 0
-            grad, hess = logistic_grad_hess(margin, y)
+            weights = histogram_weights(*logistic_grad_hess(margin, y))
             if self.subsample < 1.0:
-                mask = rng.random(len(y)) < self.subsample
-                grad = np.where(mask, grad, 0.0)
-                hess = np.where(mask, hess, 0.0)
+                weights[rng.random(len(y)) >= self.subsample] = 0.0
 
             def hist_fn(tree, frontier):
                 slots = assign_slots(tree, frontier, codes, node)
                 return build_histograms(
-                    codes, grad, hess, slots, max(frontier) + 1, mapper.max_bins
+                    codes, weights, slots, max(frontier) + 1, mapper.max_bins
                 )
 
             return hist_fn

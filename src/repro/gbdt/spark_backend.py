@@ -22,8 +22,10 @@ XGBoost's histogram algorithm):
 3. each tree level is one :func:`reduce_partitions` pass: every block
    recomputes its rows' margins from the broadcast forest-so-far, derives
    gradients, routes rows to frontier slots with the broadcast partial
-   tree, and sums one dense ``(2, slots, m, bins)`` gradient/hessian
-   histogram; the driver adds the partials and ``GBDTClassifier`` runs the
+   tree, and sums one dense complex ``(slots, m, bins)`` histogram
+   (gradient sums real, hessian sums imaginary, see
+   :func:`repro.gbdt.tree.build_histograms`); the driver adds the partials
+   with ``np.add`` and ``GBDTClassifier`` runs the
    same :func:`repro.gbdt.tree.grow_tree` split logic as on the numpy
    engine. Below the root the frontier holds only the smaller-hessian
    child of each split (the driver derives the sibling), so partials
@@ -51,7 +53,7 @@ from pyspark.sql import DataFrame
 
 from .binning import BinMapper
 from .boosting import GBDTClassifier, logistic_grad_hess
-from .tree import assign_slots, build_histograms
+from .tree import assign_slots, build_histograms, histogram_weights
 from .tree import grow_tree  # noqa: F401  (patched by safebench's span tracer)
 
 __all__ = ["fit_spark", "mapper_from_quantiles", "quantile_probs", "reduce_partitions"]
@@ -144,17 +146,16 @@ def fit_spark(
                 margin = np.full(len(y), base_margin)
                 for t in forest_bc.value:
                     margin += t.predict_binned(codes)
-                grad, hess = logistic_grad_hess(margin, y)
+                weights = histogram_weights(*logistic_grad_hess(margin, y))
                 slots = assign_slots(ptree, pfrontier, codes)
-                return np.stack(build_histograms(codes, grad, hess, slots, n_slots, max_bins))
+                return build_histograms(codes, weights, slots, n_slots, max_bins)
 
             try:
-                gh_hh = reduce_partitions(
-                    binned, block, np.add, np.zeros((2, n_slots, m, max_bins))
+                return reduce_partitions(
+                    binned, block, np.add, np.zeros((n_slots, m, max_bins), dtype=np.complex128)
                 )
             finally:
                 tree_bc.unpersist(blocking=False)
-            return gh_hh[0], gh_hh[1]
 
         return hist_fn
 

@@ -1,8 +1,11 @@
 """Single regression tree of the XGBoost-style booster.
 
 Trees are grown level-wise to ``max_depth`` from per-(node, feature, bin)
-gradient/hessian histograms. The split gain is XGBoost's second-order
-formula::
+gradient/hessian histograms. A histogram is one ``complex128`` array whose
+real part holds the gradient sums and whose imaginary part the hessian
+sums: each bin is one (G, H) pair, as in XGBoost and LightGBM, so one pass
+fills both, one subtraction derives a sibling and one cumulative sum scans
+a node's splits. The split gain is XGBoost's second-order formula::
 
     gain = 1/2 * [ G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam) ] - gamma
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .binning import BinMapper
 
-__all__ = ["Tree", "TreeNode", "grow_tree", "build_histograms", "assign_slots"]
+__all__ = ["Tree", "TreeNode", "grow_tree", "build_histograms", "histogram_weights", "assign_slots"]
 
 
 @dataclass
@@ -185,79 +188,94 @@ def assign_slots(
     return slot_of_node[node]
 
 
+def histogram_weights(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Each row's (gradient, hessian) as one complex weight, for
+    :func:`build_histograms`. The parts are assigned: ``grad + 1j*hess``
+    would turn an infinite hessian's gradient into NaN (``1j*inf`` is
+    ``nan+infj``)."""
+    weights = np.empty(np.shape(grad), dtype=np.complex128)
+    weights.real, weights.imag = grad, hess
+    return weights
+
+
 def build_histograms(
     codes: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
+    weights: np.ndarray,
     slot_of_row: np.ndarray,
     n_slots: int,
     max_bins: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(slot, feature, bin) gradient/hessian sums.
+) -> np.ndarray:
+    """Per-(slot, feature, bin) sums of the complex ``weights``
+    (:func:`histogram_weights`), shape (n_slots, n_features, max_bins): the
+    gradient sums in the real part, the hessian sums in the imaginary part.
+    ``np.add.at`` adds each feature's rows into their bins in row order, so
+    one pass gives both parts, each bit for bit the sum of that part alone.
 
-    Returns ``(gh, hh)`` each of shape (n_slots, n_features, max_bins).
     This is the only data-size-dependent step of tree growth; the Spark
-    backend computes it per partition and sums the partials. Each feature
-    column is read at the active rows only, which is a strided copy unless
-    ``codes`` is column-major (as :meth:`BinMapper.transform` returns it).
-    When every row is in the one slot (a tree's root), each code column is
-    its own bin index and is counted as it is, with no gather: the same
-    sums in the same row order.
+    backend computes it per partition and sums the partials. When every row
+    is in the one slot (a tree's root), each code column is its own bin
+    index and is read as it is. Otherwise each feature's codes are gathered
+    at the active rows into one reused buffer, a strided copy unless
+    ``codes`` is column-major (as :meth:`BinMapper.transform` returns it),
+    and offset by the row's slot when there are several slots. Codes
+    narrower than 32 bits are widened first, so the offsets fit.
     """
+    codes = np.asarray(codes, dtype=np.promote_types(codes.dtype, np.int32))
     n, m = codes.shape
-    gh = np.empty((n_slots, m, max_bins), dtype=np.float64)
-    hh = np.empty((n_slots, m, max_bins), dtype=np.float64)
+    out = np.zeros((n_slots, m, max_bins), dtype=np.complex128)
+    flat = out.reshape(-1)  # slot s, feature f, bin b at (s*m + f)*max_bins + b
     rows = np.flatnonzero(slot_of_row >= 0)
-    root = n_slots == 1 and len(rows) == n
-    if not root:
-        base = slot_of_row[rows] * max_bins
-        grad, hess = grad[rows], hess[rows]
-    size = n_slots * max_bins
+    if n_slots == 1 and len(rows) == n:
+        for f in range(m):
+            np.add.at(flat[f * max_bins :], codes[:, f], weights)
+        return out
+    weights = weights[rows]
+    idx = np.empty(len(rows), dtype=codes.dtype)
+    offset = (slot_of_row[rows] * (m * max_bins)).astype(codes.dtype) if n_slots > 1 else None
     for f in range(m):
-        flat = codes[:, f] if root else base + codes[:, f].take(rows)
-        gh[:, f, :] = np.bincount(flat, weights=grad, minlength=size).reshape(
-            n_slots, max_bins
-        )
-        hh[:, f, :] = np.bincount(flat, weights=hess, minlength=size).reshape(
-            n_slots, max_bins
-        )
-    return gh, hh
+        np.take(codes[:, f], rows, out=idx)
+        if offset is not None:
+            idx += offset
+        np.add.at(flat[f * max_bins :], idx, weights)
+    return out
 
 
 def _best_split(
-    gh_node: np.ndarray,
-    hh_node: np.ndarray,
+    hist: np.ndarray,
     mapper: BinMapper,
     reg_lambda: float,
     gamma: float,
     min_child_weight: float,
     split_mask=None,
 ):
-    """Best (gain, feature, bin, GL, HL) for one node's (m, bins) histograms,
-    over the splits that the mapper and ``split_mask`` (see :func:`grow_tree`) allow."""
-    G = gh_node[0, :].sum()
-    H = hh_node[0, :].sum()
+    """Best (gain, feature, bin, GL, HL, G, H) for one node's complex (m, bins)
+    histogram (see :func:`build_histograms`), over the splits that the mapper
+    and ``split_mask`` (see :func:`grow_tree`) allow."""
+    G = hist[0].real.sum()
+    H = hist[0].imag.sum()
     parent = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
     legal = mapper.legal_splits
     feats = None
     if split_mask is not None:  # gains only of the features the mask allows
-        legal = legal & split_mask(hh_node)
+        legal = legal & split_mask(hist.imag)
         feats = np.flatnonzero(legal.any(axis=1))
-        gh_node, hh_node, legal = gh_node[feats], hh_node[feats], legal[feats]
-    gl = np.cumsum(gh_node, axis=1)[:, :-1]
-    hl = np.cumsum(hh_node, axis=1)[:, :-1]
+        hist, legal = hist[feats], legal[feats]
+    left = np.cumsum(hist, axis=1)[:, :-1]
+    gl = np.ascontiguousarray(left.real)
+    hl = np.ascontiguousarray(left.imag)
     gr, hr = G - gl, H - hl
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (
-            0.5
-            * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent)
-            - gamma
-        )
-    gain = np.where(
-        legal & (hl >= min_child_weight) & (hr >= min_child_weight),
-        gain,
-        -np.inf,
-    )
+        # 0.5 * (gl²/(hl+λ) + gr²/(hr+λ) - parent) - γ in place, in this
+        # order, so every gain keeps its bits
+        gain = gl * gl
+        gain /= hl + reg_lambda
+        gr *= gr
+        gr /= hr + reg_lambda
+        gain += gr
+        gain -= parent
+        gain *= 0.5
+        gain -= gamma
+    gain[~(legal & (hl >= min_child_weight) & (hr >= min_child_weight))] = -np.inf
     if not np.isfinite(gain).any():
         return (-np.inf, -1, -1, 0.0, 0.0, G, H)
     f, b = np.unravel_index(np.argmax(gain), gain.shape)
@@ -291,20 +309,22 @@ def grow_tree(
 ) -> Tree:
     """Grow one tree level-wise.
 
-    ``histogram_fn(tree, frontier) -> (gh, hh)`` returns per-slot histograms
-    of shape (max(frontier)+1, m, max_bins); ``frontier`` maps slot → node
-    index in ``tree.nodes``. The first call scans the root. Each later call
-    gets only the child with the smaller hessian sum H of each split made
-    at the level above; the other child's histograms are the parent's minus
-    the scanned child's (histogram subtraction, as in LightGBM). So each
-    level costs one histogram pass over the lighter child of every split.
-    Child leaf values come from the split's own sums (−G/(H+λ)·lr).
+    ``histogram_fn(tree, frontier) -> hist`` returns the complex per-slot
+    histograms of :func:`build_histograms`, of shape (max(frontier)+1, m,
+    max_bins); ``frontier`` maps slot → node index in ``tree.nodes``. The
+    first call scans the root. Each later call gets only the child with the
+    smaller hessian sum H of each split made at the level above; the other
+    child's histogram is the parent's minus the scanned child's (histogram
+    subtraction, as in LightGBM), one complex subtraction for both sums. So
+    each level costs one histogram pass over the lighter child of every
+    split. Child leaf values come from the split's own sums (−G/(H+λ)·lr).
 
-    ``split_mask(hh_node) -> mask``, if given, restricts each node's splits:
-    it gets the node's (m, bins) hessian histogram and returns an
-    (m, bins − 1) boolean mask that is ANDed with ``mapper.legal_splits``.
-    The evaluation classifiers' random forests and extra-trees draw their
-    per-node features and thresholds this way; the booster passes none.
+    ``split_mask(hess_node) -> mask``, if given, restricts each node's
+    splits: it gets the node's (m, bins) hessian histogram (``hist.imag``)
+    and returns an (m, bins − 1) boolean mask that is ANDed with
+    ``mapper.legal_splits``. The evaluation classifiers' random forests and
+    extra-trees draw their per-node features and thresholds this way; the
+    booster passes none.
     """
 
     def leaf_value(G: float, H: float) -> float:
@@ -313,22 +333,20 @@ def grow_tree(
     tree = Tree([TreeNode()])
     frontier = {0: 0}
     derived: dict[int, tuple[int, int]] = {}  # node -> (parent, scanned sibling)
-    parents: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    parents: dict[int, np.ndarray] = {}
     for depth in range(max_depth):
-        gh, hh = histogram_fn(tree, frontier)
+        hist = histogram_fn(tree, frontier)
         if depth == 0:
-            residue = _RESIDUE * hh[0]
-        hists = {nid: (gh[slot], hh[slot]) for slot, nid in frontier.items()}
+            residue = _RESIDUE * hist[0].imag
+        hists = {nid: hist[slot] for slot, nid in frontier.items()}
         for nid, (parent, sibling) in derived.items():
-            g = parents[parent][0] - hists[sibling][0]
-            h = parents[parent][1] - hists[sibling][1]
-            empty = h <= residue
-            g[empty] = h[empty] = 0.0
-            hists[nid] = g, h
+            h = parents[parent] - hists[sibling]
+            h[h.imag <= residue] = 0.0
+            hists[nid] = h
         frontier, derived, parents = {}, {}, hists
-        for nid, (g, h) in sorted(hists.items()):
+        for nid, h in sorted(hists.items()):
             gain, f, b, GL, HL, G, H = _best_split(
-                g, h, mapper, reg_lambda, gamma, min_child_weight, split_mask
+                h, mapper, reg_lambda, gamma, min_child_weight, split_mask
             )
             node = tree.nodes[nid]
             if gain <= 0 or f < 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gbdt.binning import BinMapper, bin_matrix
-from ..gbdt.tree import Tree, assign_slots, build_histograms, grow_tree
+from ..gbdt.tree import Tree, assign_slots, build_histograms, grow_tree, histogram_weights
 
 __all__ = ["DecisionTreeNP", "RandomForestNP", "ExtraTreesNP", "binned", "gini_tree"]
 
@@ -46,12 +46,12 @@ def gini_tree(codes, y, w, mapper: BinMapper, *, max_depth: int, min_weight: flo
     (``gamma`` = 1e-12·W/4): under fractional weights a pure node's gain is
     not 0 but rounding residue, about 1e-16·W.
     """
-    grad = -w * y
+    weights = histogram_weights(-w * y, w)
     node = np.zeros(len(y), dtype=np.intp)
 
     def hist_fn(tree, frontier):
         slots = assign_slots(tree, frontier, codes, node)
-        return build_histograms(codes, grad, w, slots, max(frontier) + 1, mapper.max_bins)
+        return build_histograms(codes, weights, slots, max(frontier) + 1, mapper.max_bins)
 
     return grow_tree(
         hist_fn, mapper, max_depth=max_depth, reg_lambda=0.0, gamma=2.5e-13 * w.sum(),
@@ -81,13 +81,13 @@ class DecisionTreeNP:
         rng = np.random.default_rng(self.random_state) if self.draw_features else None
         k = max(1, int(np.sqrt(m)))
 
-        def draw(hh: np.ndarray) -> np.ndarray:
-            mask = np.zeros((m, hh.shape[1] - 1), dtype=bool)
+        def draw(hess: np.ndarray) -> np.ndarray:
+            mask = np.zeros((m, hess.shape[1] - 1), dtype=bool)
             feats = rng.choice(m, size=k, replace=False)
             if not self.random_threshold:
                 mask[feats] = True
                 return mask
-            occupied = hh[feats] > 0
+            occupied = hess[feats] > 0
             lo = occupied.argmax(axis=1)
             hi = occupied.shape[1] - 1 - occupied[:, ::-1].argmax(axis=1)
             for f, a, b in zip(feats, lo, hi):

@@ -2,12 +2,14 @@
 
 * :func:`sorted_quantiles` reads ``np.quantile``'s values from a sorted
   column without re-partitioning it;
-* :func:`build_histograms` counts a tree's root (every row in one slot)
-  without gathering the rows;
+* :func:`build_histograms` sums gradients and hessians as one complex
+  array, equal part by part to one weighted ``np.bincount`` each, and
+  counts a tree's root (every row in one slot) without gathering the rows;
 * a grower that keeps each row's node advances it one level per histogram
   pass instead of routing it from the root;
-* :func:`_best_split` takes its legal-split mask from the mapper instead of
-  building it per node.
+* :func:`_best_split` scans the complex histogram in one cumulative sum
+  and takes its legal-split mask from the mapper instead of building it
+  per node.
 
 Each is compared with a copy of the code it replaced, or with the general
 path, for exact equality.
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from repro.gbdt import tree as tree_mod
 from repro.gbdt.binning import BinMapper, bin_matrix, sorted_quantiles
 from repro.gbdt.boosting import logistic_grad_hess
-from repro.gbdt.tree import assign_slots, build_histograms, grow_tree
+from repro.gbdt.tree import assign_slots, build_histograms, grow_tree, histogram_weights
 
 GRIDS = {beta: np.linspace(0, 1, beta + 1)[1:-1] for beta in (10, 64)}
 
@@ -62,8 +64,15 @@ def test_sorted_quantiles_of_ties(n):
 
 
 # -- histograms ------------------------------------------------------------------
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns: tells -0.0 from 0.0 and matches NaNs."""
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def ref_build_histograms(codes, grad, hess, slot_of_row, n_slots, max_bins):
-    """The histogram kernel before the root pass skipped its gather."""
+    """The two-array kernel: one weighted ``np.bincount`` per feature for the
+    gradients and one for the hessians, on the active rows."""
     _n, m = codes.shape
     gh = np.empty((n_slots, m, max_bins))
     hh = np.empty((n_slots, m, max_bins))
@@ -77,26 +86,73 @@ def ref_build_histograms(codes, grad, hess, slot_of_row, n_slots, max_bins):
     return gh, hh
 
 
+def _assert_histograms_equal(codes, grad, hess, slots, n_slots, bins):
+    hist = build_histograms(codes, histogram_weights(grad, hess), slots, n_slots, bins)
+    gh, hh = ref_build_histograms(codes, grad, hess, slots, n_slots, bins)
+    assert hist.dtype == np.complex128 and hist.shape == (n_slots, codes.shape[1], bins)
+    assert same_bits(hist.real, gh) and same_bits(hist.imag, hh)
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.intp, np.uint8])
 def test_root_histograms_equal_the_gathering_pass(dtype):
     rng = np.random.default_rng(3)
     n, m, bins = 3000, 7, 64
     codes = np.asfortranarray(rng.integers(0, bins, (n, m)).astype(dtype))
     grad, hess = rng.normal(size=n) * 1e3, rng.random(n)
-    root = np.zeros(n, dtype=np.int64)
-    for got, want in zip(
-        build_histograms(codes, grad, hess, root, 1, bins),
-        ref_build_histograms(codes, grad, hess, root, 1, bins),
-    ):
-        assert np.array_equal(got, want)
+    _assert_histograms_equal(codes, grad, hess, np.zeros(n, dtype=np.int64), 1, bins)
     # below the root the general path runs, also on every row
     slots = rng.integers(-1, 3, n)
     for s in (slots, np.maximum(slots, 0)):
-        for got, want in zip(
-            build_histograms(codes, grad, hess, s, 3, bins),
-            ref_build_histograms(codes, grad, hess, s, 3, bins),
-        ):
-            assert np.array_equal(got, want)
+        _assert_histograms_equal(codes, grad, hess, s, 3, bins)
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint8])
+@pytest.mark.parametrize("n_slots", [1, 2, 3, 4])
+def test_complex_histograms_equal_two_bincounts(dtype, n_slots):
+    """Real and imaginary parts equal the two-array kernel's, bit for bit:
+    inactive rows, an empty slot, signed zeros and a non-finite hessian."""
+    rng = np.random.default_rng(17 + n_slots)
+    n, m, bins = 2000, 5, 64
+    codes = np.asfortranarray(rng.integers(0, bins, (n, m)).astype(dtype))
+    codes[:, 4] = rng.integers(0, 3, n)  # a feature with few occupied bins
+    grad = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+    hess = rng.random(n)
+    grad[::97], hess[::89] = -0.0, 0.0
+    slots = rng.integers(-1, n_slots, n)
+    if n_slots > 1:
+        slots[slots == n_slots - 1] = -1  # the last slot holds no row
+    _assert_histograms_equal(codes, grad, hess, slots, n_slots, bins)
+    _assert_histograms_equal(codes, grad, hess, np.full(n, -1), n_slots, bins)  # every row inactive
+    if n_slots == 1:
+        _assert_histograms_equal(codes, grad, hess, np.zeros(n, dtype=np.int64), 1, bins)
+    hess[5], hess[6] = np.inf, np.nan
+    _assert_histograms_equal(codes, grad, hess, np.maximum(slots, 0), n_slots, bins)
+
+
+def test_histogram_weights_keep_a_finite_gradient_next_to_an_infinite_hessian():
+    """``grad + 1j*hess`` turns an infinite hessian's gradient into NaN (1j·inf
+    is nan+infj); ``histogram_weights`` keeps both parts as given."""
+    grad, hess = np.array([0.5, -1.0, 2.0, -0.0]), np.array([np.inf, np.nan, 1.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        naive = grad + 1j * hess
+    assert np.isnan(naive[0].real)
+    weights = histogram_weights(grad, hess)
+    assert weights.dtype == np.complex128
+    assert same_bits(weights.real, grad) and same_bits(weights.imag, hess)
+    codes = np.asfortranarray(np.array([[0], [1], [1], [0]]))
+    hist = build_histograms(codes, weights, np.zeros(4, dtype=np.int64), 1, 2)
+    gh, hh = ref_build_histograms(codes, grad, hess, np.zeros(4, dtype=np.int64), 1, 2)
+    assert same_bits(hist.real, gh) and same_bits(hist.imag, hh)
+    assert hist[0, 0, 0].real == 0.5 and hist[0, 0, 0].imag == np.inf
+
+
+def test_numpy_has_the_ufunc_at_fast_path():
+    major, minor = (int(p) for p in np.__version__.split(".")[:2])
+    assert (major, minor) >= (1, 25), (
+        f"numpy {np.__version__}: build_histograms sums with np.add.at, whose fast "
+        "path came in numpy 1.25; below it the kernel was never measured and may be "
+        "slower than the two np.bincount passes it replaced"
+    )
 
 
 # -- incremental routing -----------------------------------------------------------
@@ -106,7 +162,7 @@ def test_advancing_rows_gives_the_from_root_slots_and_leaves():
     X[:, 5] = np.round(X[:, 5])
     y = ((X[:, 0] * X[:, 1] > 0) ^ (X[:, 2] > 0.5)).astype(float)
     mapper, codes = bin_matrix(X, 32)
-    grad, hess = logistic_grad_hess(np.zeros(len(y)), y)
+    weights = histogram_weights(*logistic_grad_hess(np.zeros(len(y)), y))
     node = np.zeros(len(y), dtype=np.intp)
     levels = []
 
@@ -115,7 +171,7 @@ def test_advancing_rows_gives_the_from_root_slots_and_leaves():
         advanced = assign_slots(tree, frontier, codes, node)
         assert np.array_equal(advanced, from_root)
         levels.append(len(frontier))
-        return build_histograms(codes, grad, hess, advanced, max(frontier) + 1, mapper.max_bins)
+        return build_histograms(codes, weights, advanced, max(frontier) + 1, mapper.max_bins)
 
     tree = grow_tree(hist_fn, mapper, max_depth=4)
     assert len(levels) == 4 and tree.nodes[0].feature >= 0
@@ -126,7 +182,8 @@ def test_advancing_rows_gives_the_from_root_slots_and_leaves():
 
 # -- split search --------------------------------------------------------------------
 def ref_best_split(gh_node, hh_node, mapper, reg_lambda, gamma, min_child_weight):
-    """``_best_split`` as it was when it built the legal mask per node."""
+    """``_best_split`` on separate gradient and hessian histograms, as it was
+    when it built the legal mask per node."""
     G = gh_node[0, :].sum()
     H = hh_node[0, :].sum()
     parent = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
@@ -162,14 +219,14 @@ def test_best_split_unchanged(case):
     if case % 4 == 3:  # a 0/0 gain next to finite ones: both pick the NaN
         gh[0, 0] = hh[0, 0] = 0.0
         args = (mapper, 0.0, 0.0, 0.0)
-    got, want = tree_mod._best_split(gh, hh, *args), ref_best_split(gh, hh, *args)
-    assert np.array_equal(np.array(got, dtype=float), np.array(want, dtype=float), equal_nan=True)
+    got, want = tree_mod._best_split(histogram_weights(gh, hh), *args), ref_best_split(gh, hh, *args)
+    assert same_bits(np.array(got, dtype=float), np.array(want, dtype=float))
 
 
 def test_best_split_can_return_a_nan_gain():
     mapper = BinMapper(edges=(np.array([0.5, 1.5]), np.array([0.5])))
     gh = np.array([[0.0, 1.0, -2.0], [1.0, -1.0, 0.0]])
     hh = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-    got = tree_mod._best_split(gh, hh, mapper, 0.0, 0.0, 0.0)
+    got = tree_mod._best_split(histogram_weights(gh, hh), mapper, 0.0, 0.0, 0.0)
     assert np.isnan(got[0]) and got[1:3] == (0, 0)
-    assert np.array_equal(np.array(got), np.array(ref_best_split(gh, hh, mapper, 0.0, 0.0, 0.0)), equal_nan=True)
+    assert same_bits(np.array(got), np.array(ref_best_split(gh, hh, mapper, 0.0, 0.0, 0.0)))

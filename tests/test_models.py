@@ -209,7 +209,7 @@ def test_gini_decrease_is_second_order_gain():
     decrease of every split is (4/W)·gain, the best split is the same, and
     the leaf value −G/H is the node's weighted positive rate."""
     from repro.gbdt.binning import BinMapper
-    from repro.gbdt.tree import _best_split
+    from repro.gbdt.tree import _best_split, histogram_weights
 
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -221,7 +221,7 @@ def test_gini_decrease_is_second_order_gain():
         pos = np.array([np.bincount(c, weights=w * y, minlength=bins) for c in codes.T])
         W, P = hh[0].sum(), pos[0].sum()
         mapper = BinMapper(tuple(np.arange(bins - 1, dtype=np.float64) for _f in range(m)))
-        gain, f, b, _gl, _hl, G, H = _best_split(-pos, hh, mapper, 0.0, 0.0, 1e-9)
+        gain, f, b, _gl, _hl, G, H = _best_split(histogram_weights(-pos, hh), mapper, 0.0, 0.0, 1e-9)
         assert -G / H == P / W
         cl, pl = np.cumsum(hh, axis=1)[:, :-1], np.cumsum(pos, axis=1)[:, :-1]
         cr, pr = W - cl, P - pl

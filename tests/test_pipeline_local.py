@@ -1,11 +1,16 @@
 """Integration tests: SAFE pipeline, local engine."""
 import hashlib
+import itertools
+import time
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.engine import LocalEngine
+from repro.core.operators import pair_specs
 from repro.core.pipeline import SafePipeline
+from repro.core.plan import FeatureSpec
 from repro.models import make_classifier
 from repro.models.evaluation import auc_score
 
@@ -105,6 +110,44 @@ def test_time_budget_stops_early(planted):
     assert len(pipe.report_.iterations) == 0
     # with zero budget the plan is the identity over the original features
     assert plan.output_columns == [c for c in train.columns if c != "label"]
+
+
+def test_wall_clock_steps_neither_end_a_budgeted_fit_nor_show_in_its_time(planted, monkeypatch):
+    """The budget and ``fit_seconds`` read a monotonic clock: a wall clock
+    that steps an hour forward at every read changes neither."""
+    train, _test = planted
+    want = SafePipeline(n_iterations=2, gamma=8, top_k=10)
+    want.fit(train, "label")
+    wall = itertools.count(time.time(), 3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(wall))
+    pipe = SafePipeline(n_iterations=2, gamma=8, top_k=10, time_budget_s=60)
+    pipe.fit(train, "label")
+    assert len(pipe.report_.iterations) == len(want.report_.iterations) == 2
+    assert 0 <= pipe.report_.fit_seconds < 60
+
+
+def test_report_keeps_what_selection_computed(planted, fitted):
+    """Each iteration keeps the IV of every candidate, the importance of
+    every nonredundant feature and the gain ratio of every generated one."""
+    train, _test = planted
+    pipe, plan = fitted
+    (it,) = pipe.report_.iterations
+    base = [c for c in train.columns if c != "label"]
+    specs = {
+        s.name: s
+        for a, b in itertools.combinations(base, 2)
+        for s in (FeatureSpec(op, inputs) for op, inputs in pair_specs(a, b))
+    }
+    eng = LocalEngine(train, "label")
+    eng.add_generated([specs[c] for c in it["iv"] if c not in base])
+    assert it["iv"] == eng.iv(list(it["iv"]))
+    assert len(it["iv"]) == len(base) + it["n_generated"]
+    assert len(it["importance"]) == it["n_nonredundant"]
+    assert set(it["importance"]) <= set(it["iv"])
+    assert all(v >= 0 for v in it["importance"].values())
+    assert set(it["gain_ratio"]) == set(it["iv"]) - set(base)
+    assert set(plan.generated_outputs()) <= set(it["gain_ratio"])
+    assert all(np.isfinite(v) for v in it["gain_ratio"].values())
 
 
 def test_spark_input_with_local_engine(spark, planted):

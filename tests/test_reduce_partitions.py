@@ -13,7 +13,7 @@ from repro.gbdt import boosting
 from repro.gbdt.binning import BinMapper
 from repro.gbdt.boosting import GBDTClassifier, logistic_grad_hess
 from repro.gbdt.spark_backend import fit_spark, reduce_partitions
-from repro.gbdt.tree import build_histograms
+from repro.gbdt.tree import build_histograms, histogram_weights
 
 BATCH_ROWS = "spark.sql.execution.arrow.maxRecordsPerBatch"
 COLS = ["a", "b", "c"]
@@ -87,10 +87,11 @@ def test_batches_of_a_partition_merge_to_one_block(spark, spark_scan, small_batc
     passes = _record_histograms(monkeypatch)
     mapper = BinMapper(edges=tuple(edges))
     fit_spark(GBDTClassifier(n_estimators=1, max_depth=1), sdf, COLS, "label", mapper)
-    ((gh, hh),) = passes
+    (hist,) = passes
     margin = np.full(len(y), GBDTClassifier().base_margin())
-    grad, hess = logistic_grad_hess(margin, y.astype(np.float64))
+    weights = histogram_weights(*logistic_grad_hess(margin, y.astype(np.float64)))
     rows = np.zeros(len(y), dtype=np.int64)
-    want_gh, want_hh = build_histograms(mapper.transform(X), grad, hess, rows, 1, mapper.max_bins)
-    np.testing.assert_allclose(gh, want_gh, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(hh, want_hh, rtol=0, atol=1e-9)
+    want = build_histograms(mapper.transform(X), weights, rows, 1, mapper.max_bins)
+    assert hist.shape == want.shape and hist.dtype == np.complex128
+    np.testing.assert_allclose(hist.real, want.real, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(hist.imag, want.imag, rtol=0, atol=1e-9)

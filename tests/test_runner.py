@@ -22,6 +22,19 @@ def test_fit_method_returns_plan(method, banknote):
     assert res.fit_seconds >= 0
 
 
+def test_fit_seconds_ignore_wall_clock_steps(banknote, monkeypatch):
+    """A wall clock that steps an hour forward at every read does not show
+    in a method's fit time."""
+    import itertools
+    import time
+
+    tr, va, _te = banknote
+    wall = itertools.count(time.time(), 3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(wall))
+    res = fit_method("SAFE", tr, LABEL_COL, va, seed=0)
+    assert 0 <= res.fit_seconds < 3600
+
+
 def test_orig_is_identity(banknote):
     tr, _va, _te = banknote
     res = fit_method("ORIG", tr, LABEL_COL)

@@ -9,14 +9,17 @@ from repro.gbdt.tree import (
     assign_slots,
     build_histograms,
     grow_tree,
+    histogram_weights,
 )
 
 
 def _local_hist_fn(codes, grad, hess, mapper):
+    weights = histogram_weights(grad, hess)
+
     def fn(tree, frontier):
         slots = assign_slots(tree, frontier, codes)
         return build_histograms(
-            codes, grad, hess, slots, max(frontier) + 1, mapper.max_bins
+            codes, weights, slots, max(frontier) + 1, mapper.max_bins
         )
 
     return fn
@@ -148,12 +151,13 @@ def test_histograms_sum_to_totals():
     grad = rng.normal(size=300)
     hess = rng.random(300)
     slots = rng.integers(0, 2, 300)
-    gh, hh = build_histograms(codes, grad, hess, slots, 2, 8)
+    hist = build_histograms(codes, histogram_weights(grad, hess), slots, 2, 8)
+    assert hist.shape == (2, 3, 8) and hist.dtype == np.complex128
     for s in (0, 1):
         mask = slots == s
         for f in range(3):
-            assert gh[s, f].sum() == pytest.approx(grad[mask].sum())
-            assert hh[s, f].sum() == pytest.approx(hess[mask].sum())
+            assert hist[s, f].real.sum() == pytest.approx(grad[mask].sum())
+            assert hist[s, f].imag.sum() == pytest.approx(hess[mask].sum())
 
 
 def test_histograms_ignore_inactive_rows():
@@ -161,8 +165,8 @@ def test_histograms_ignore_inactive_rows():
     grad = np.ones(10)
     hess = np.ones(10)
     slots = np.array([0] * 5 + [-1] * 5)
-    gh, _hh = build_histograms(codes, grad, hess, slots, 1, 1)
-    assert gh[0, 0, 0] == 5.0
+    hist = build_histograms(codes, histogram_weights(grad, hess), slots, 1, 1)
+    assert hist[0, 0, 0] == 5.0 + 5.0j
 
 
 def test_min_child_weight_blocks_tiny_splits():
@@ -212,9 +216,9 @@ def test_grow_tree_scans_smaller_child_and_derives_sibling(monkeypatch):
 
     real_best_split = tree_mod._best_split
 
-    def best_split(gh_node, hh_node, *args):
-        seen.append((gh_node.copy(), hh_node.copy()))
-        return real_best_split(gh_node, hh_node, *args)
+    def best_split(hist, *args):
+        seen.append(hist.copy())
+        return real_best_split(hist, *args)
 
     monkeypatch.setattr(tree_mod, "_best_split", best_split)
     depth = 4
@@ -244,13 +248,14 @@ def test_grow_tree_scans_smaller_child_and_derives_sibling(monkeypatch):
     evaluated = [nid for lv in levels for nid in lv]
     assert len(seen) == len(evaluated)
     n_empty = 0
-    for nid, (g, h) in zip(evaluated, seen):
+    for nid, hist in zip(evaluated, seen):
         mask = rows_of(nid)
-        eg, eh = build_histograms(
-            codes, grad, hess, np.where(mask, 0, -1), 1, mapper.max_bins
-        )
-        np.testing.assert_allclose(g, eg[0], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(h, eh[0], rtol=0, atol=1e-9)
+        want = build_histograms(
+            codes, histogram_weights(grad, hess), np.where(mask, 0, -1), 1, mapper.max_bins
+        )[0]
+        g, h = hist.real, hist.imag
+        np.testing.assert_allclose(g, want.real, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(h, want.imag, rtol=0, atol=1e-9)
         counts = np.stack([
             np.bincount(codes[mask, f], minlength=mapper.max_bins)
             for f in range(X.shape[1])
